@@ -5,60 +5,4 @@ truncated formal power series; the single floating-point computation in
 the package is the golden-mean convergence diagnostic.
 """
 
-from .fps import QSeries, coefficient, geometric, invert, linear_combine, mul, truncate
-from .zpoly import ZPolynomial, eval_z_at_qpow, subst_zq, zadd, zmul, zshift
-from .sumside import h_bivariate, qrfac, rr_sum
-from .cfrac import (
-    cfrac_series,
-    fibonacci,
-    golden_convergent,
-    golden_error,
-    rr_convergent,
-    rr_numerators,
-)
-from .prodmake import (
-    ProductForm,
-    ResiduePattern,
-    conjecture_product,
-    detect_progressions,
-    expand_product,
-    strip_step,
-)
-from .dirichlet import DirichletSeries, dmul, euler_strip, zeta_series
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "QSeries",
-    "ZPolynomial",
-    "ProductForm",
-    "ResiduePattern",
-    "DirichletSeries",
-    "cfrac_series",
-    "coefficient",
-    "conjecture_product",
-    "detect_progressions",
-    "dmul",
-    "euler_strip",
-    "eval_z_at_qpow",
-    "expand_product",
-    "fibonacci",
-    "geometric",
-    "golden_convergent",
-    "golden_error",
-    "h_bivariate",
-    "invert",
-    "linear_combine",
-    "mul",
-    "qrfac",
-    "rr_convergent",
-    "rr_numerators",
-    "rr_sum",
-    "strip_step",
-    "subst_zq",
-    "truncate",
-    "zadd",
-    "zeta_series",
-    "zmul",
-    "zshift",
-]

@@ -73,17 +73,19 @@ def rr_numerators(n: int, order: int) -> list[ZPolynomial]:
     return out
 
 
-def rr_convergent(n: int, order: int) -> tuple[ZPolynomial, ZPolynomial]:
-    """(numerator, denominator) of the n-th convergent: (H_n, H_{n-1}(zq,q))."""
-    if n < 1:
-        raise ValueError("convergent index must be >= 1, got %d" % n)
-    hs = rr_numerators(n, order)
+def rr_convergent(hs: list[ZPolynomial], n: int) -> tuple[ZPolynomial, ZPolynomial]:
+    """(numerator, denominator) of the n-th convergent: (H_n, H_{n-1}(zq,q)).
+
+    ``hs`` is the list H_0 .. H_m from ``rr_numerators(m, order)``, m >= n.
+    """
+    if not 1 <= n < len(hs):
+        raise ValueError("convergent index must be in 1..%d, got %d" % (len(hs) - 1, n))
     return hs[n], zpoly.subst_zq(hs[n - 1], 1)
 
 
-def rr_convergent_series(n: int, order: int) -> QSeries:
+def rr_convergent_series(hs: list[ZPolynomial], n: int) -> QSeries:
     """The n-th convergent at z = 1 as a q-series: H_n(1,q) / H_{n-1}(q,q)."""
-    num, den = rr_convergent(n, order)
+    num, den = rr_convergent(hs, n)
     num_series = zpoly.eval_z_at_qpow(num, 0)
     den_series = zpoly.eval_z_at_qpow(den, 0)
     return fps.mul(num_series, fps.invert(den_series))

@@ -1,355 +1,248 @@
-"""Command-line front end: generate, conjecture, detect, verify, report.
+"""Command-line front end: one ``COMMANDS`` entry per subcommand.
 
-Subcommands:
-    verify    compare a sum side against its residue-pattern product
-    discover  strip a sum side into a product and look for a progression
-    cfrac     convergent tables (numeric golden target or symbolic rr target)
-    zeta      strip the zeta series and report the surviving factor indices
-    sum       print one sum side
-    product   print one product side
-
-Exit codes: 0 everything matched, 1 a coefficient mismatch was found,
-2 bad usage or invalid input.
-"""
+Exit codes: 0 everything matched, 1 a coefficient mismatch was found, 2 bad usage, invalid
+input or an input too large to compute.  A reader closing the pipe early is no error."""
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import cfrac, dirichlet, fps, prodmake, sumside
-from .fps import QSeries
-from .prodmake import ResiduePattern
-
-DEFAULT_ORDER = 100
-DEFAULT_MODULUS_MAX = 12
 
 
 class Identity(NamedTuple):
     shift: int
-    pattern: ResiduePattern
+    pattern: prodmake.ResiduePattern
 
 
 IDENTITIES = {
-    "rr1": Identity(0, ResiduePattern(5, frozenset({1, 4}), -1)),
-    "rr2": Identity(1, ResiduePattern(5, frozenset({2, 3}), -1)),
+    "rr1": Identity(0, prodmake.ResiduePattern(5, frozenset({1, 4}), -1)),
+    "rr2": Identity(1, prodmake.ResiduePattern(5, frozenset({2, 3}), -1)),
 }
 
 
 @dataclass(frozen=True)
 class CommandResult:
+    """What one subcommand found; its fields are the JSON envelope."""
     command: str
     order: int
     verified_to: int
     payload: dict
-    status: str  # ok | mismatch | error
+    status: str = "ok"  # ok | mismatch | error
 
     def exit_code(self) -> int:
         return {"ok": 0, "mismatch": 1}.get(self.status, 2)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "order": self.order,
-            "verified_to": self.verified_to,
-            "status": self.status,
-            "payload": self.payload,
-        }
 
-
-def first_mismatch(a: QSeries, b: QSeries) -> int | None:
+def first_mismatch(a: fps.QSeries, b: fps.QSeries) -> int | None:
     """Smallest index with differing coefficients, or None if equal."""
     if a.order != b.order:
         raise ValueError("mismatched orders: %d vs %d" % (a.order, b.order))
-    for k in range(a.order + 1):
-        if a.coeffs[k] != b.coeffs[k]:
-            return k
-    return None
+    return next((k for k, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None)
+
+
+def _identity(name: str) -> Identity:
+    if name not in IDENTITIES:
+        raise ValueError("unknown identity %r (expected rr1 or rr2)" % name)
+    return IDENTITIES[name]
 
 
 def cmd_verify(identity: str, order: int, residues: frozenset[int] | None = None) -> CommandResult:
-    """Coefficient-by-coefficient check of sum side vs product side.
-
-    ``residues`` overrides the identity's mod-5 residue set; tests use it
-    to exercise the mismatch report.
-    """
+    """Coefficient-by-coefficient check of sum side vs product side; ``residues``
+    overrides the identity's mod-5 residue set, which tests use to reach a mismatch."""
     shift, pattern = _identity(identity)
     if residues is not None:
-        pattern = ResiduePattern(pattern.modulus, residues, pattern.multiplicity)
+        pattern = prodmake.ResiduePattern(pattern.modulus, residues, pattern.multiplicity)
     lhs = sumside.rr_sum(shift, order)
     rhs = prodmake.expand_product(pattern.product_form(order), order)
-    payload = {
-        "identity": identity,
-        "pattern": pattern.to_json_dict(),
-        "sum_head": fps.head_str(lhs),
-        "product_head": fps.head_str(rhs),
-    }
+    payload = dict(identity=identity, pattern=pattern.to_json_dict(),
+                   sum_head=fps.head_str(lhs), product_head=fps.head_str(rhs))
     bad = first_mismatch(lhs, rhs)
     if bad is None:
-        return CommandResult("verify", order, order, payload, "ok")
-    payload["first_mismatch"] = {
-        "index": bad,
-        "sum_coefficient": str(lhs.coeffs[bad]),
-        "product_coefficient": str(rhs.coeffs[bad]),
-    }
+        return CommandResult("verify", order, order, payload)
+    payload["first_mismatch"] = dict(index=bad, sum_coefficient=str(lhs.coeffs[bad]),
+                                     product_coefficient=str(rhs.coeffs[bad]))
     return CommandResult("verify", order, bad - 1, payload, "mismatch")
 
 
-def cmd_discover(identity: str, order: int, modulus_max: int) -> CommandResult:
-    """Strip the sum side into a product form and hunt for a progression.
+def _verify_text(result: CommandResult, p: dict) -> list[str]:
+    lines = ["identity %s to order %d: %s" % (p["identity"], result.order, result.status),
+             "  sum side:     %(sum_head)s" % p, "  product side: %(product_head)s" % p]
+    if result.status == "ok":
+        return lines + ["  all %d coefficients match" % (result.order + 1)]
+    return lines + ["  first mismatch at q^%(index)d: sum has %(sum_coefficient)s, "
+                    "product has %(product_coefficient)s" % p["first_mismatch"]]
 
-    The result is a conjecture checked only up to ``order``; the payload
-    says so explicitly.
-    """
+
+def cmd_discover(identity: str, order: int, modulus_max: int) -> CommandResult:
+    """Strip the sum side into a product form and hunt for a progression: a conjecture
+    checked only up to ``order``, which the payload says explicitly."""
     if order < 1:
         raise ValueError("discovery needs order >= 1, got %d" % order)
-    shift, _ = _identity(identity)
-    pf = prodmake.conjecture_product(sumside.rr_sum(shift, order))
+    pf = prodmake.conjecture_product(sumside.rr_sum(_identity(identity).shift, order))
     pattern = prodmake.detect_progressions(pf, modulus_max)
-    payload = {
-        "identity": identity,
-        "product_form": pf.to_json_dict(),
-        "product_display": str(pf),
-        "pattern": pattern.to_json_dict() if pattern else None,
-        "pattern_display": str(pattern) if pattern else None,
-        "conjectured": True,
-        "checked_to_order": order,
-    }
-    return CommandResult("discover", order, order, payload, "ok")
+    payload = dict(identity=identity, product_form=pf.to_json_dict(), product_display=str(pf),
+                   pattern=pattern.to_json_dict() if pattern else None,
+                   pattern_display=str(pattern) if pattern else None,
+                   conjectured=True, checked_to_order=order)
+    return CommandResult("discover", order, order, payload)
+
+
+def _discover_text(result: CommandResult, p: dict) -> list[str]:
+    lines = ["stripped %s to order %d: %s" % (p["identity"], result.order, p["product_display"])]
+    if not p["pattern"]:
+        return lines + ["  no residue pattern found"]
+    return lines + ["  pattern: %s" % p["pattern_display"],
+                    "  conjecture (checked to order %d): modulus %d, residues %s"
+                    % (p["checked_to_order"], p["pattern"]["modulus"], p["pattern"]["residues"])]
 
 
 def cmd_cfrac(target: str, steps: int, order: int) -> CommandResult:
     if target == "golden":
-        rows = [
-            {"n": n, "numerator": num, "denominator": den, "value": val}
-            for n, num, den, val in cfrac.golden_table(steps)
-        ]
-        payload = {"target": "golden", "rows": rows, "error": cfrac.golden_error(steps)}
-        return CommandResult("cfrac", steps, steps, payload, "ok")
-    if target == "rr":
-        hs = cfrac.rr_numerators(steps, order)
-        convergents = []
-        for n in range(1, steps + 1):
-            convergents.append(
-                {
-                    "n": n,
-                    "numerator": str(hs[n]),
-                    "denominator": str(cfrac.rr_convergent(n, order)[1]),
-                }
-            )
-        series = cfrac.cfrac_series(order)
-        conv_series = cfrac.rr_convergent_series(steps, order)
-        bad = first_mismatch(conv_series, series)
-        agrees_through = order if bad is None else bad - 1
-        payload = {
-            "target": "rr",
-            "convergents": convergents,
-            "series_head": fps.head_str(series, 8),
-            "agrees_through_order": agrees_through,
-        }
-        return CommandResult("cfrac", order, agrees_through, payload, "ok")
-    raise ValueError("unknown cfrac target %r (expected golden or rr)" % target)
+        rows = [dict(n=n, numerator=num, denominator=den, value=val)
+                for n, num, den, val in cfrac.golden_table(steps)]
+        payload = dict(target="golden", rows=rows, error=cfrac.golden_error(steps))
+        return CommandResult("cfrac", steps, steps, payload)
+    if target != "rr":
+        raise ValueError("unknown cfrac target %r (expected golden or rr)" % target)
+    hs = cfrac.rr_numerators(steps, order)
+    pairs = [cfrac.rr_convergent(hs, n) for n in range(1, steps + 1)]
+    convergents = [dict(n=n, numerator=str(num), denominator=str(den))
+                   for n, (num, den) in enumerate(pairs, 1)]
+    series = cfrac.cfrac_series(order)
+    bad = first_mismatch(cfrac.rr_convergent_series(hs, steps), series)
+    agrees = order if bad is None else bad - 1
+    payload = dict(target="rr", convergents=convergents,
+                   series_head=fps.head_str(series, 8), agrees_through_order=agrees)
+    return CommandResult("cfrac", order, agrees, payload)
+
+
+def _cfrac_text(result: CommandResult, p: dict) -> list[str]:
+    if p["target"] == "golden":
+        rows = ["%(n)4d  %(numerator)12d  %(denominator)12d  %(value).10f" % r for r in p["rows"]]
+        return (["%4s  %12s  %12s  %s" % ("n", "numerator", "denominator", "value")] + rows
+                + ["distance from golden mean at n=%d: %.3e" % (result.order, p["error"])])
+    return (["c_%(n)d = (%(numerator)s) / (%(denominator)s)" % r for r in p["convergents"]]
+            + ["series: %s" % p["series_head"],
+               "last convergent agrees with the series through q^%d" % p["agrees_through_order"]])
 
 
 def cmd_zeta(limit: int) -> CommandResult:
     primes = dirichlet.euler_strip(limit)
     shown = ", ".join(str(p) for p in primes[:3]) + (", ..." if len(primes) > 3 else "")
-    payload = {
-        "limit": limit,
-        "primes": primes,
-        "count": len(primes),
-        "display": "zeta(s) = prod over p in {%s} of 1/(1 - p^(-s))" % shown,
-    }
-    return CommandResult("zeta", limit, limit, payload, "ok")
+    display = "zeta(s) = prod over p in {%s} of 1/(1 - p^(-s))" % shown
+    payload = dict(limit=limit, primes=primes, count=len(primes), display=display)
+    return CommandResult("zeta", limit, limit, payload)
 
 
 def cmd_sum(identity: str, order: int) -> CommandResult:
     shift, _ = _identity(identity)
     series = sumside.rr_sum(shift, order)
-    payload = {
-        "identity": identity,
-        "shift": shift,
-        "head": fps.head_str(series),
-        "series": series.to_json_dict(),
-    }
-    return CommandResult("sum", order, order, payload, "ok")
+    payload = dict(identity=identity, shift=shift, head=fps.head_str(series),
+                   series=series.to_json_dict())
+    return CommandResult("sum", order, order, payload)
 
 
 def cmd_product(identity: str, order: int) -> CommandResult:
-    _, pattern = _identity(identity)
+    pattern = _identity(identity).pattern
     pf = pattern.product_form(order)
     series = prodmake.expand_product(pf, order)
-    payload = {
-        "identity": identity,
-        "pattern": pattern.to_json_dict(),
-        "pattern_display": str(pattern),
-        "factors": pf.to_json_dict(),
-        "head": fps.head_str(series),
-        "series": series.to_json_dict(),
-    }
-    return CommandResult("product", order, order, payload, "ok")
+    payload = dict(identity=identity, pattern=pattern.to_json_dict(), pattern_display=str(pattern),
+                   factors=pf.to_json_dict(), head=fps.head_str(series),
+                   series=series.to_json_dict())
+    return CommandResult("product", order, order, payload)
 
 
-def _identity(name: str) -> Identity:
-    try:
-        return IDENTITIES[name]
-    except KeyError:
-        raise ValueError("unknown identity %r (expected rr1 or rr2)" % name) from None
+def _at_least(name: str, low: int) -> Callable[[str], int]:
+    """argparse ``type=``: an integer >= ``low``, refused in the user's terms."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError here as "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError("%s must be >= %d, got %d" % (name, low, value))
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
-def render_text(result: CommandResult) -> str:
-    p = result.payload
-    lines = []
-    if result.status == "error":
-        lines.append("error: %s" % p["message"])
-    elif result.command == "verify":
-        lines.append("identity %s to order %d: %s" % (p["identity"], result.order, result.status))
-        lines.append("  sum side:     %s" % p["sum_head"])
-        lines.append("  product side: %s" % p["product_head"])
-        if result.status == "mismatch":
-            m = p["first_mismatch"]
-            lines.append(
-                "  first mismatch at q^%d: sum has %s, product has %s"
-                % (m["index"], m["sum_coefficient"], m["product_coefficient"])
-            )
-        else:
-            lines.append("  all %d coefficients match" % (result.order + 1))
-    elif result.command == "discover":
-        lines.append(
-            "stripped %s to order %d: %s"
-            % (p["identity"], result.order, p["product_display"])
-        )
-        if p["pattern"]:
-            lines.append("  pattern: %s" % p["pattern_display"])
-            lines.append(
-                "  conjecture (checked to order %d): modulus %d, residues %s"
-                % (
-                    p["checked_to_order"],
-                    p["pattern"]["modulus"],
-                    p["pattern"]["residues"],
-                )
-            )
-        else:
-            lines.append("  no residue pattern found")
-    elif result.command == "cfrac" and p["target"] == "golden":
-        lines.append("%4s  %12s  %12s  %s" % ("n", "numerator", "denominator", "value"))
-        for row in p["rows"]:
-            lines.append(
-                "%4d  %12d  %12d  %.10f"
-                % (row["n"], row["numerator"], row["denominator"], row["value"])
-            )
-        lines.append("distance from golden mean at n=%d: %.3e" % (result.order, p["error"]))
-    elif result.command == "cfrac":
-        for row in p["convergents"]:
-            lines.append("c_%d = (%s) / (%s)" % (row["n"], row["numerator"], row["denominator"]))
-        lines.append("series: %s" % p["series_head"])
-        lines.append(
-            "last convergent agrees with the series through q^%d" % p["agrees_through_order"]
-        )
-    elif result.command == "zeta":
-        lines.append(p["display"])
-        lines.append("indices stripped up to %d: %s" % (p["limit"], p["primes"]))
-    elif result.command == "sum":
-        lines.append("%s sum side: %s" % (p["identity"], p["head"]))
-    elif result.command == "product":
-        lines.append("%s product side: %s" % (p["identity"], p["pattern_display"]))
-        lines.append("expansion: %s" % p["head"])
-    else:
-        lines.append("%s: %s" % (result.status, p))
-    return "\n".join(lines)
+def _order(default=100, help="truncation order (default: %(default)s)") -> tuple:
+    return ("-N", "--order"), dict(type=_at_least("order", 0), default=default, help=help)
+
+
+IDENTITY = ("--identity",), dict(choices=tuple(IDENTITIES), default="rr1",
+                                 help="which identity to use (default: %(default)s)")
+
+
+class Command(NamedTuple):
+    help: str
+    arguments: tuple  # (flags, add_argument keywords) pairs, in --help order
+    run: Callable[..., CommandResult]  # takes the parsed arguments in that order
+    text: Callable[[CommandResult, dict], list[str]]  # (result, its payload) -> lines
+
+
+COMMANDS = {
+    "verify": Command("check sum side == product side", (IDENTITY, _order()),
+                      cmd_verify, _verify_text),
+    "discover": Command("conjecture the product side by stripping",
+                        (IDENTITY, _order(), (("--modulus-max",), dict(
+                            type=_at_least("modulus bound", 1), default=12,
+                            help="largest modulus to try (default: %(default)s)"))),
+                        cmd_discover, _discover_text),
+    "cfrac": Command("continued fraction convergents",
+                     ((("target",), dict(choices=("golden", "rr"))),
+                      (("-n", "--steps"), dict(type=_at_least("steps", 1), default=8,
+                                               help="convergents to compute")),
+                      _order(default=20)),
+                     cmd_cfrac, _cfrac_text),
+    "zeta": Command("Euler stripping of the zeta series",
+                    (_order(help="series limit (default: %(default)s)"),), cmd_zeta,
+                    lambda _, p: [p["display"],
+                                  "indices stripped up to %(limit)d: %(primes)s" % p]),
+    "sum": Command("print a sum side", (IDENTITY, _order()), cmd_sum,
+                   lambda _, p: ["%(identity)s sum side: %(head)s" % p]),
+    "product": Command("print a product side", (IDENTITY, _order()), cmd_product,
+                       lambda _, p: ["%(identity)s product side: %(pattern_display)s" % p,
+                                     "expansion: %(head)s" % p]),
+}
 
 
 def render(result: CommandResult, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
-    return render_text(result)
+        return json.dumps(vars(result), sort_keys=True, indent=2)
+    if result.status == "error":
+        return "error: %s" % result.payload["message"]
+    return "\n".join(COMMANDS[result.command].text(result, result.payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="qrr",
-        description="Exact q-series toolkit: verify and rediscover the "
-        "Rogers-Ramanujan identities by coefficient matching.",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
+        prog="qrr", description="Exact q-series toolkit: verify and rediscover the "
+        "Rogers-Ramanujan identities by coefficient matching.")
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format (default: text)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_order(p, default=DEFAULT_ORDER, help="truncation order (default: %(default)s)"):
-        p.add_argument("-N", "--order", type=int, default=default, help=help)
-
-    def add_identity(p):
-        p.add_argument(
-            "--identity",
-            choices=tuple(IDENTITIES),
-            default="rr1",
-            help="which identity to use (default: %(default)s)",
-        )
-
-    p_verify = sub.add_parser("verify", help="check sum side == product side")
-    add_identity(p_verify)
-    add_order(p_verify)
-
-    p_discover = sub.add_parser("discover", help="conjecture the product side by stripping")
-    add_identity(p_discover)
-    add_order(p_discover)
-    p_discover.add_argument(
-        "--modulus-max",
-        type=int,
-        default=DEFAULT_MODULUS_MAX,
-        help="largest modulus to try (default: %(default)s)",
-    )
-
-    p_cfrac = sub.add_parser("cfrac", help="continued fraction convergents")
-    p_cfrac.add_argument("target", choices=("golden", "rr"))
-    p_cfrac.add_argument("-n", "--steps", type=int, default=8, help="convergents to compute")
-    add_order(p_cfrac, default=20)
-
-    p_zeta = sub.add_parser("zeta", help="Euler stripping of the zeta series")
-    add_order(p_zeta, help="series limit (default: %(default)s)")
-
-    p_sum = sub.add_parser("sum", help="print a sum side")
-    add_identity(p_sum)
-    add_order(p_sum)
-
-    p_product = sub.add_parser("product", help="print a product side")
-    add_identity(p_product)
-    add_order(p_product)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        dests = [p.add_argument(*flags, **options).dest for flags, options in command.arguments]
+        p.set_defaults(run=command.run, dests=dests)
     return parser
 
 
-def dispatch(args: argparse.Namespace) -> CommandResult:
-    if args.command == "verify":
-        return cmd_verify(args.identity, args.order)
-    if args.command == "discover":
-        return cmd_discover(args.identity, args.order, args.modulus_max)
-    if args.command == "cfrac":
-        return cmd_cfrac(args.target, args.steps, args.order)
-    if args.command == "zeta":
-        return cmd_zeta(args.order)
-    if args.command == "sum":
-        return cmd_sum(args.identity, args.order)
-    if args.command == "product":
-        return cmd_product(args.identity, args.order)
-    raise ValueError("unknown command %r" % args.command)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        result = dispatch(args)
-    except ValueError as exc:
-        bad = CommandResult(args.command, 0, -1, {"message": str(exc)}, "error")
-        print(render(bad, args.format), file=sys.stderr)
-        return 2
-    print(render(result, args.format))
+        result = args.run(*(getattr(args, dest) for dest in args.dests))
+    except (ValueError, OverflowError, MemoryError) as exc:
+        message = str(exc) if isinstance(exc, ValueError) else "input too large to compute"
+        result = CommandResult(args.command, 0, -1, {"message": message}, "error")
+    out = sys.stderr if result.status == "error" else sys.stdout
+    try:
+        print(render(result, args.format), file=out)
+        out.flush()
+    except BrokenPipeError:  # the reader left early: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return result.exit_code()
 
 

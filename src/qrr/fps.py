@@ -62,18 +62,6 @@ class QSeries:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "QSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        result = one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = mul(result, base)
-            base = mul(base, base) if n > 1 else base
-            n >>= 1
-        return result
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -77,9 +77,6 @@ class ZPolynomial:
     def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
         return zadd(self, zscale(other, -1))
 
-    def __mul__(self, other: "ZPolynomial") -> "ZPolynomial":
-        return zmul(self, other)
-
     def __str__(self) -> str:
         terms = []
         for d, series in enumerate(self.zcoeffs):
@@ -109,17 +106,8 @@ class ZPolynomial:
         return [c.to_json_dict() for c in self.zcoeffs]
 
 
-def z_zero(qorder: int) -> ZPolynomial:
-    return ZPolynomial(qorder, ())
-
-
 def z_one(qorder: int) -> ZPolynomial:
     return ZPolynomial(qorder, (fps.one(qorder),))
-
-
-def z_const(series: QSeries) -> ZPolynomial:
-    """A z-degree-0 polynomial wrapping one q-series."""
-    return ZPolynomial.from_zcoeffs(series.order, [series])
 
 
 def _check_qorders(a: ZPolynomial, b: ZPolynomial) -> None:
@@ -137,20 +125,6 @@ def zadd(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
 
 def zscale(a: ZPolynomial, c: int) -> ZPolynomial:
     return ZPolynomial.from_zcoeffs(a.qorder, [c * s for s in a.zcoeffs])
-
-
-def zmul(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
-    _check_qorders(a, b)
-    if a.is_zero() or b.is_zero():
-        return z_zero(a.qorder)
-    out = [fps.zero(a.qorder) for _ in range(len(a.zcoeffs) + len(b.zcoeffs) - 1)]
-    for i, ca in enumerate(a.zcoeffs):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b.zcoeffs):
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + fps.mul(ca, cb)
-    return ZPolynomial.from_zcoeffs(a.qorder, out)
 
 
 def zshift(a: ZPolynomial, k: int, m: int) -> ZPolynomial:

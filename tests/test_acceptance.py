@@ -120,7 +120,7 @@ def test_criterion_06_symbolic_convergents():
     }
     ok = True
     for n in range(1, 5):
-        num, den = cfrac.rr_convergent(n, 10)
+        num, den = cfrac.rr_convergent(hs, n)
         ok = ok and hs[n] == num == ZPolynomial.from_terms(10, want_numerators[n])
         ok = ok and den == ZPolynomial.from_terms(10, want_denominators[n])
     check(

@@ -91,19 +91,23 @@ class TestRRNumerators:
             assert hs[n] == ZP(10, H_TERMS[n]), n
 
     def test_convergent_pairs(self):
-        assert cfrac.rr_convergent(1, 10) == (ZP(10, H_TERMS[1]), ZP(10, DEN_TERMS[1]))
-        assert cfrac.rr_convergent(2, 10) == (ZP(10, H_TERMS[2]), ZP(10, DEN_TERMS[2]))
-        assert cfrac.rr_convergent(3, 10) == (ZP(10, H_TERMS[3]), ZP(10, DEN_TERMS[3]))
+        hs = cfrac.rr_numerators(3, 10)
+        assert cfrac.rr_convergent(hs, 1) == (ZP(10, H_TERMS[1]), ZP(10, DEN_TERMS[1]))
+        assert cfrac.rr_convergent(hs, 2) == (ZP(10, H_TERMS[2]), ZP(10, DEN_TERMS[2]))
+        assert cfrac.rr_convergent(hs, 3) == (ZP(10, H_TERMS[3]), ZP(10, DEN_TERMS[3]))
 
     def test_convergent_index_must_be_positive(self):
+        hs = cfrac.rr_numerators(2, 5)
         with pytest.raises(ValueError):
-            cfrac.rr_convergent(0, 5)
+            cfrac.rr_convergent(hs, 0)
+        with pytest.raises(ValueError):
+            cfrac.rr_convergent(hs, 3)
 
     def test_denominator_is_previous_numerator_shifted(self):
         order = 30
         hs = cfrac.rr_numerators(12, order)
         for n in range(2, 13):
-            _, den = cfrac.rr_convergent(n, order)
+            _, den = cfrac.rr_convergent(hs, n)
             assert den == zpoly.subst_zq(hs[n - 1], 1), n
 
 
@@ -123,9 +127,10 @@ def nested_fraction(n, order):
 class TestRecurrenceAgainstDirectSimplification:
     def test_matches_nested_fraction_oracle(self):
         order = 40
+        hs = cfrac.rr_numerators(8, order)
         for n in range(1, 9):
             num, den = nested_fraction(n, order)
-            assert (num, den) == cfrac.rr_convergent(n, order), n
+            assert (num, den) == cfrac.rr_convergent(hs, n), n
 
 
 # c(1,q) through order 12, frozen from an independent series-division oracle.
@@ -144,7 +149,8 @@ class TestCfracSeries:
 
     def test_agrees_with_deep_convergent(self):
         # second route: 25-level convergent evaluated at z = 1
-        assert cfrac.rr_convergent_series(25, 12) == cfrac.cfrac_series(12)
+        hs = cfrac.rr_numerators(25, 12)
+        assert cfrac.rr_convergent_series(hs, 25) == cfrac.cfrac_series(12)
 
     def test_convergent_agreement_floor(self):
         # c_n(1,q) matches the full fraction at least through q^n; the
@@ -152,7 +158,8 @@ class TestCfracSeries:
         # but only the floor is asserted.
         order = 15
         full = cfrac.cfrac_series(order)
+        hs = cfrac.rr_numerators(15, order)
         for n in range(1, 16):
-            conv = cfrac.rr_convergent_series(n, order)
+            conv = cfrac.rr_convergent_series(hs, n)
             prefix = n + 1
             assert conv.coeffs[:prefix] == full.coeffs[:prefix], n

@@ -1,10 +1,14 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qrr import cli, fps
+from qrr import cli, fps, sumside
 from qrr.cli import CommandResult, cmd_cfrac, cmd_discover, cmd_sum, cmd_verify, cmd_zeta
 from qrr.fps import QSeries
 
@@ -182,3 +186,85 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+class TestHelp:
+    # the usage line of each subcommand pins its flags; no option is added or lost
+    USAGE = {
+        None: "usage: qrr [-h] [--format {text,json}] {verify,discover,cfrac,zeta,sum,product} ...",
+        "verify": "usage: qrr verify [-h] [--identity {rr1,rr2}] [-N ORDER]",
+        "discover": "usage: qrr discover [-h] [--identity {rr1,rr2}] [-N ORDER] "
+        "[--modulus-max MODULUS_MAX]",
+        "cfrac": "usage: qrr cfrac [-h] [-n STEPS] [-N ORDER] {golden,rr}",
+        "zeta": "usage: qrr zeta [-h] [-N ORDER]",
+        "sum": "usage: qrr sum [-h] [--identity {rr1,rr2}] [-N ORDER]",
+        "product": "usage: qrr product [-h] [--identity {rr1,rr2}] [-N ORDER]",
+    }
+
+    @pytest.mark.parametrize("command", USAGE)
+    def test_usage_line(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one usage line, whatever the terminal
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == self.USAGE[command]
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "-N", "-1"], "order must be >= 0, got -1"),
+            (["cfrac", "rr", "-n", "3", "-N", "-2"], "order must be >= 0, got -2"),
+            (["zeta", "-N", "-5"], "order must be >= 0, got -5"),
+            (["cfrac", "rr", "-n", "0"], "steps must be >= 1, got 0"),
+            (["cfrac", "golden", "-n", "-4"], "steps must be >= 1, got -4"),
+            (["discover", "--modulus-max", "0"], "modulus bound must be >= 1, got 0"),
+            (["sum", "-N", "ten"], "invalid int value: 'ten'"),
+        ],
+    )
+    def test_rejected_up_front(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "outside order" not in err and "Traceback" not in err
+
+
+class TestExitCodes:
+    def test_overflow_exits_two_with_one_line(self, capsys):
+        assert cli.main(["sum", "-N", "100000000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input too large to compute\n"
+
+    def test_memory_error_exits_two_with_one_line(self, capsys, monkeypatch):
+        def exhausted(shift, order):
+            raise MemoryError
+
+        monkeypatch.setattr(sumside, "rr_sum", exhausted)
+        assert cli.main(["--format", "json", "sum", "-N", "5"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["status"] == "error"
+        assert err["payload"] == {"message": "input too large to compute"}
+
+    def test_closed_pipe_is_quiet(self):
+        # the read end is closed before the CLI writes a byte, so every write
+        # to its stdout fails with EPIPE, as under `qrr zeta ... | head -c 10`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qrr.cli", "zeta", "-N", "100000"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 0

@@ -251,13 +251,6 @@ class TestSparseHelpers:
 
 
 class TestDunders:
-    def test_pow(self):
-        a = S(1, 2, -1, order=6)
-        assert a**0 == fps.one(6)
-        assert a**3 == fps.mul(fps.mul(a, a), a)
-        with pytest.raises(ValueError):
-            a ** (-1)
-
     def test_scalar_mul(self):
         assert 3 * S(1, -2) == S(3, -6)
 

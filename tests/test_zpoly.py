@@ -74,11 +74,6 @@ class TestSubstZq:
 
 
 class TestArithmetic:
-    def test_zmul_difference_of_squares(self):
-        one_plus_z = ZP(4, {(0, 0): 1, (1, 0): 1})
-        one_minus_z = ZP(4, {(0, 0): 1, (1, 0): -1})
-        assert zpoly.zmul(one_plus_z, one_minus_z) == ZP(4, {(0, 0): 1, (2, 0): -1})
-
     def test_recurrence_step_builds_h2(self):
         h0 = zpoly.z_one(5)
         h1 = ZP(5, {(0, 0): 1, (1, 1): 1})
@@ -95,21 +90,6 @@ class TestArithmetic:
     def test_rejects_mismatched_qorders(self):
         with pytest.raises(ValueError):
             zpoly.zadd(zpoly.z_one(3), zpoly.z_one(4))
-        with pytest.raises(ValueError):
-            zpoly.zmul(zpoly.z_one(3), zpoly.z_one(4))
-
-    @given(zpolys(), zpolys())
-    def test_zmul_commutative(self, a, b):
-        b = ZPolynomial.from_terms(
-            a.qorder,
-            {
-                (d, k): c
-                for d, series in enumerate(b.zcoeffs)
-                for k, c in enumerate(series.coeffs[: a.qorder + 1])
-                if c
-            },
-        )
-        assert zpoly.zmul(a, b) == zpoly.zmul(b, a)
 
     @given(st.integers(0, 6), st.data())
     def test_ring_axioms(self, qorder, data):
@@ -119,11 +99,11 @@ class TestArithmetic:
             max_size=6,
         )
         a, b, c = (ZPolynomial.from_terms(qorder, data.draw(terms)) for _ in range(3))
-        assert zpoly.zmul(zpoly.zmul(a, b), c) == zpoly.zmul(a, zpoly.zmul(b, c))
-        assert zpoly.zmul(zpoly.zadd(a, b), c) == zpoly.zadd(
-            zpoly.zmul(a, c), zpoly.zmul(b, c)
-        )
+        zero = ZPolynomial(qorder, ())
+        assert zpoly.zadd(zpoly.zadd(a, b), c) == zpoly.zadd(a, zpoly.zadd(b, c))
         assert zpoly.zadd(a, b) == zpoly.zadd(b, a)
+        assert zpoly.zadd(a, zero) == a
+        assert a - a == zero
 
 
 class TestEval:
@@ -161,7 +141,7 @@ class TestRendering:
         assert str(p) == "1-2z+3z^2q^3"
 
     def test_zero(self):
-        assert str(zpoly.z_zero(3)) == "0"
+        assert str(ZPolynomial(3, ())) == "0"
 
     def test_json_is_list_by_degree(self):
         p = ZP(2, {(0, 0): 1, (1, 1): 1})
