@@ -109,7 +109,7 @@ def cmd_cfrac(target: str, steps: int, order: int) -> CommandResult:
     if target != "rr":
         raise ValueError("unknown cfrac target %r (expected golden or rr)" % target)
     hs = cfrac.rr_numerators(steps, order)
-    pairs = [cfrac.rr_convergent(hs, n) for n in range(1, steps + 1)]
+    pairs = (cfrac.rr_convergent(hs, n) for n in range(1, steps + 1))
     convergents = [dict(n=n, numerator=str(num), denominator=str(den))
                    for n, (num, den) in enumerate(pairs, 1)]
     series = cfrac.cfrac_series(order)
@@ -118,6 +118,14 @@ def cmd_cfrac(target: str, steps: int, order: int) -> CommandResult:
     payload = dict(target="rr", convergents=convergents,
                    series_head=fps.head_str(series, 8), agrees_through_order=agrees)
     return CommandResult("cfrac", order, agrees, payload)
+
+
+def _cfrac_options(target: str, steps: int, order: int | None) -> CommandResult:
+    """``cfrac`` from the command line: ``-N`` truncates ``rr`` (default 20), and
+    ``golden``, which has no order, refuses it rather than ignore it."""
+    if order is not None and target == "golden":
+        raise ValueError("-N/--order applies to cfrac rr only")
+    return cmd_cfrac(target, steps, 20 if order is None else order)
 
 
 def _cfrac_text(result: CommandResult, p: dict) -> list[str]:
@@ -194,8 +202,8 @@ COMMANDS = {
                      ((("target",), dict(choices=("golden", "rr"))),
                       (("-n", "--steps"), dict(type=_at_least("steps", 1), default=8,
                                                help="convergents to compute")),
-                      _order(default=20)),
-                     cmd_cfrac, _cfrac_text),
+                      _order(default=None, help="truncation order, rr only (default: 20)")),
+                     _cfrac_options, _cfrac_text),
     "zeta": Command("Euler stripping of the zeta series",
                     (_order(help="series limit (default: %(default)s)"),), cmd_zeta,
                     lambda _, p: [p["display"],

@@ -151,43 +151,63 @@ def linear_combine(a: QSeries, b: QSeries, ca: int, cb: int) -> QSeries:
     )
 
 
+def _pack(cs: Sequence[int], width: int) -> int:
+    """The integer sum c_k * 256^(width*k): positive and negative parts packed apart."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in cs)
+    pos = int.from_bytes(pos, "little")
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in cs)
+    return pos - int.from_bytes(neg, "little")
+
+
 def mul(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy product."""
+    """Truncated Cauchy product by Kronecker substitution.
+
+    Each operand becomes one integer, its coefficients in byte slots wide
+    enough for any product coefficient and its sign; one big-integer
+    product then holds the product's coefficients in the same slots
+    (Harvey, arXiv:0712.4046).  The low order+1 slots are read back as
+    signed digits: a slot at or above half its range is negative and
+    borrows one from the slot above.
+    """
     _check_orders(a, b)
     n = a.order
-    ca, cb = a.coeffs, b.coeffs
-    # iterate over the sparser operand's support
-    if sum(1 for c in ca if c) > sum(1 for c in cb if c):
-        ca, cb = cb, ca
-    out = [0] * (n + 1)
-    for i, ai in enumerate(ca):
-        if ai:
-            for k in range(i, n + 1):
-                out[k] += ai * cb[k - i]
+    ma, mb = max(map(abs, a.coeffs)), max(map(abs, b.coeffs))
+    if not ma or not mb:
+        return zero(n)
+    width = (ma.bit_length() + mb.bit_length() + (n + 1).bit_length() + 8) // 8
+    size = width * (n + 1)
+    raw = _pack(a.coeffs, width) * _pack(b.coeffs, width)
+    raw = (raw & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    out = []
+    borrow = 0
+    for k in range(0, size, width):
+        c = int.from_bytes(raw[k : k + width], "little") + borrow
+        borrow = c >= half
+        out.append(c - full if borrow else c)
     return QSeries(n, tuple(out))
 
 
 def invert(a: QSeries) -> QSeries:
     """Multiplicative inverse of a series with constant term +1 or -1.
 
-    Uses the triangular recurrence b_0 = a_0, b_k = -a_0 * sum_{i>=1} a_i b_{k-i},
-    which keeps every coefficient an integer.
+    Newton iteration b <- b - b*(a*b - 1) on ``mul``: each step doubles the
+    number of correct coefficients, starting from b = a_0 = 1/a_0.  Since
+    a*b - 1 vanishes below the current precision p, only its next p
+    coefficients are formed and multiplied by b.
     """
     a0 = a.coeffs[0]
     if a0 not in (1, -1):
         raise ValueError("non-unit constant term: %s" % a0)
     n = a.order
-    support = [(i, c) for i, c in enumerate(a.coeffs) if i >= 1 and c]
-    b = [0] * (n + 1)
-    b[0] = a0
-    for k in range(1, n + 1):
-        acc = 0
-        for i, ai in support:
-            if i > k:
-                break
-            acc += ai * b[k - i]
-        b[k] = -a0 * acc
-    return QSeries(n, tuple(b))
+    b = (a0,)
+    while len(b) <= n:
+        p = len(b)
+        m = min(2 * p, n + 1)  # coefficients known after this step
+        err = mul(truncate(a, m - 1), QSeries(m - 1, b + (0,) * (m - p)))
+        fix = mul(QSeries(m - p - 1, b[: m - p]), QSeries(m - p - 1, err.coeffs[p:]))
+        b += tuple(-c for c in fix.coeffs)
+    return QSeries(n, b)
 
 
 def truncate(a: QSeries, new_order: int) -> QSeries:
@@ -233,9 +253,11 @@ def div_one_minus_qpow(a: QSeries, e: int) -> QSeries:
 def pow_one_minus_qpow(a: QSeries, e: int, m: int) -> QSeries:
     """Multiply by (1 - q^e)^m for any integer m, negative meaning division.
 
-    Small |m| runs the O(order) single-factor passes; large |m| (stripping
+    Small |m| runs the O(order) single-factor passes.  Large |m| (stripping
     can demand multiplicities that grow exponentially with the exponent)
-    expands (1 - q^e)^m by the binomial theorem and multiplies once.
+    expands (1 - q^e)^m by the binomial theorem: a sparse polynomial with
+    at most order/e terms after its constant 1, each added to a copy of
+    ``a`` as a shifted multiple of ``a``.
     """
     if e < 1:
         raise ValueError("exponent must be >= 1, got %d" % e)
@@ -246,12 +268,15 @@ def pow_one_minus_qpow(a: QSeries, e: int, m: int) -> QSeries:
         for _ in range(abs(m)):
             a = step(a, e)
         return a
-    jmax = a.order // e
-    if m > 0:
-        terms = [(j * e, (-1) ** (j & 1) * comb(m, j)) for j in range(min(jmax, m) + 1)]
-    else:
-        terms = [(j * e, comb(-m - 1 + j, j)) for j in range(jmax + 1)]
-    return mul(a, from_support(a.order, terms))
+    n = a.order
+    cs = a.coeffs
+    out = list(cs)  # the binomial's constant term is 1
+    for j in range(1, (min(n // e, m) if m > 0 else n // e) + 1):
+        c = (-1) ** (j & 1) * comb(m, j) if m > 0 else comb(j - m - 1, j)
+        s = j * e
+        for k in range(s, n + 1):
+            out[k] += c * cs[k - s]
+    return QSeries(n, tuple(out))
 
 
 def from_support(order: int, terms: Sequence[tuple[int, int]]) -> QSeries:

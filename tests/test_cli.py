@@ -249,6 +249,18 @@ class TestExitCodes:
         assert err["status"] == "error"
         assert err["payload"] == {"message": "input too large to compute"}
 
+    @pytest.mark.parametrize("order", ["0", "5", "500"])
+    def test_cfrac_golden_refuses_an_order(self, order, capsys):
+        # golden has no truncation order, so -N is refused instead of ignored
+        assert cli.main(["cfrac", "golden", "-n", "3", "-N", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: -N/--order applies to cfrac rr only\n"
+
+    def test_cfrac_rr_order_defaults_to_twenty(self, capsys):
+        assert cli.main(["--format", "json", "cfrac", "rr", "-n", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 20
+
     def test_closed_pipe_is_quiet(self):
         # the read end is closed before the CLI writes a byte, so every write
         # to its stdout fails with EPIPE, as under `qrr zeta ... | head -c 10`
