@@ -41,7 +41,9 @@ def first_mismatch(a: fps.QSeries, b: fps.QSeries) -> int | None:
     """Smallest index with differing coefficients, or None if equal."""
     if a.order != b.order:
         raise ValueError("mismatched orders: %d vs %d" % (a.order, b.order))
-    return next((k for k, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None)
+    if a.coeffs == b.coeffs:
+        return None
+    return next(k for k, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y)
 
 
 def _identity(name: str) -> Identity:
@@ -250,7 +252,9 @@ def main(argv=None) -> int:
         print(render(result, args.format), file=out)
         out.flush()
     except BrokenPipeError:  # the reader left early: keep the flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
     return result.exit_code()
 
 

@@ -8,6 +8,11 @@ primes, which is the point of ``euler_strip``.
 """
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import sub
+
+# multiples of n swept per slice in ``euler_strip``: bounds its temporaries
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -91,18 +96,32 @@ def euler_strip(limit: int) -> list[int]:
     multiplies by (1 - n^(-s)); the surviving indices at any point are
     those with no prime factor among the already-stripped ones, so the
     returned list is exactly the primes <= limit.
+
+    Once n^2 > limit, stripping n only zeroes c_n: its sweep subtracts c_k
+    from c_{kn}, but c_k is already 0 for 1 < k < n (k has a smaller prime
+    factor, stripped before n) and kn > limit for k >= n.  So the sweeps
+    stop there and the survivors above are read off in one pass.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1, got %d" % limit)
     coeffs = [1] * limit
     stripped = []
-    for n in range(2, limit + 1):
-        if coeffs[n - 1] == 0:
-            continue
-        # coefficient is provably 1 here, so one multiply zeroes the class
-        assert coeffs[n - 1] == 1
-        stripped.append(n)
-        # descending sweep keeps c_{m/n} unmodified until m is done
-        for m in range((limit // n) * n, n - 1, -n):
-            coeffs[m - 1] -= coeffs[m // n - 1]
+    n = 2
+    while n * n <= limit:
+        if coeffs[n - 1]:
+            # coefficient is provably 1 here, so one multiply zeroes the class
+            assert coeffs[n - 1] == 1
+            stripped.append(n)
+            # c_{kn} -= c_k for k <= limit/n, in blocks of k from the top down:
+            # each block reads its c_k before a lower block can change them
+            for hi in range(limit // n, 0, -_BLOCK):
+                lo = max(hi - _BLOCK, 0)
+                targets = slice((lo + 1) * n - 1, hi * n, n)
+                coeffs[targets] = map(sub, coeffs[targets], coeffs[lo:hi])
+        n += 1
+    del coeffs[: n - 1]  # now coeffs[i] is c_{n+i}
+    swept = len(stripped)
+    stripped.extend(compress(count(n), coeffs))
+    # each survivor's coefficient is provably 1: as many 1s as nonzero entries
+    assert coeffs.count(1) == len(stripped) - swept
     return stripped

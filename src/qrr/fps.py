@@ -9,8 +9,9 @@ bugs fail loudly instead of silently re-truncating.
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from itertools import islice, repeat
 from math import comb
-from operator import index as _as_int
+from operator import add, sub, index as _as_int, mul as _times
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ class QSeries:
         return self.__mul__(other)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.coeffs[0] == 1 and not any(islice(self.coeffs, 1, None))
 
     def __str__(self) -> str:
         return _format_terms(self.coeffs)
@@ -143,12 +144,16 @@ def _check_orders(a: QSeries, b: QSeries) -> None:
         raise ValueError("mismatched orders: %d vs %d" % (a.order, b.order))
 
 
+def _scaled(c: int, cs: tuple[int, ...]) -> Iterable[int]:
+    """c*x for each x in cs, with no multiply when c is 1."""
+    return cs if c == 1 else map(_times, repeat(c), cs)
+
+
 def linear_combine(a: QSeries, b: QSeries, ca: int, cb: int) -> QSeries:
-    """ca*a + cb*b, coefficient-wise."""
+    """ca*a + cb*b, coefficient-wise; a negative cb subtracts (-cb)*b."""
     _check_orders(a, b)
-    return QSeries(
-        a.order, tuple(ca * x + cb * y for x, y in zip(a.coeffs, b.coeffs))
-    )
+    op, cb = (sub, -cb) if cb < 0 else (add, cb)
+    return QSeries(a.order, tuple(map(op, _scaled(ca, a.coeffs), _scaled(cb, b.coeffs))))
 
 
 def _pack(cs: Sequence[int], width: int) -> int:
@@ -234,19 +239,20 @@ def mul_one_minus_qpow(a: QSeries, e: int) -> QSeries:
     if e < 1:
         raise ValueError("exponent must be >= 1, got %d" % e)
     cs = a.coeffs
-    return QSeries(
-        a.order,
-        tuple(c - cs[k - e] if k >= e else c for k, c in enumerate(cs)),
-    )
+    return QSeries(a.order, cs[:e] + tuple(map(sub, cs[e:], cs)))
 
 
 def div_one_minus_qpow(a: QSeries, e: int) -> QSeries:
-    """Divide by (1 - q^e), i.e. multiply by the geometric series in q^e."""
+    """Divide by (1 - q^e), i.e. multiply by the geometric series in q^e.
+
+    The prefix sum out_k = a_k + out_{k-e} runs one block of e coefficients
+    at a time: block [s, s+e) adds block [s-e, s), which is already final.
+    """
     if e < 1:
         raise ValueError("exponent must be >= 1, got %d" % e)
     out = list(a.coeffs)
-    for k in range(e, a.order + 1):
-        out[k] += out[k - e]
+    for s in range(e, len(out), e):
+        out[s : s + e] = map(add, out[s : s + e], out[s - e : s])
     return QSeries(a.order, tuple(out))
 
 

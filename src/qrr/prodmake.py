@@ -14,6 +14,7 @@ residues that together generate exactly the observed exponent list.
 """
 
 from dataclasses import dataclass
+from itertools import compress, count, islice
 from operator import index as _as_int
 from typing import NamedTuple
 
@@ -139,7 +140,7 @@ def strip_step(s: QSeries) -> StripStep:
     """
     if s.coeffs[0] != 1:
         raise ValueError("stripping requires constant term 1, got %s" % s.coeffs[0])
-    e = next((k for k in range(1, s.order + 1) if s.coeffs[k]), None)
+    e = next(compress(count(1), islice(s.coeffs, 1, None)), None)
     if e is None:
         raise ValueError("series is 1 to its order; nothing left to strip")
     c = s.coeffs[e]

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import io
 import json
 import os
 import subprocess
@@ -280,3 +281,30 @@ class TestExitCodes:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == 0
+
+    def test_closed_pipe_leaves_no_descriptor_open(self, monkeypatch):
+        # stdout's descriptor is pointed at the null device; the descriptor
+        # opened for that must be closed again
+        class ClosedPipe(io.StringIO):
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def fileno(self):
+                return self.fd
+
+            def flush(self):
+                raise BrokenPipeError
+
+        opened, real_open = [], os.open
+        monkeypatch.setattr(cli.os, "open", lambda *a: opened.append(real_open(*a)) or opened[-1])
+        read_end, write_end = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+            assert cli.main(["zeta", "-N", "10"]) == 0
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])

@@ -16,6 +16,20 @@ def sieve(n):
     return [p for p in range(2, n + 1) if flags[p]]
 
 
+def scalar_euler_strip(limit):
+    """Independent oracle: the strip as one descending scalar sweep per index."""
+    coeffs = [1] * limit
+    stripped = []
+    for n in range(2, limit + 1):
+        if coeffs[n - 1] == 0:
+            continue
+        assert coeffs[n - 1] == 1
+        stripped.append(n)
+        for m in range((limit // n) * n, n - 1, -n):
+            coeffs[m - 1] -= coeffs[m // n - 1]
+    return stripped
+
+
 def dirichlet_series(max_limit=50):
     return st.integers(1, max_limit).flatmap(
         lambda n: st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1).map(
@@ -108,6 +122,23 @@ class TestEulerStrip:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             dirichlet.euler_strip(0)
+
+    def test_matches_scalar_sweep_for_every_limit_to_3000(self):
+        for limit in range(1, 3001):
+            assert dirichlet.euler_strip(limit) == scalar_euler_strip(limit), limit
+
+    @pytest.mark.parametrize("p", sieve(60))
+    def test_matches_scalar_sweep_around_prime_squares(self, p):
+        # the sweeps stop at the first n with n^2 > limit
+        for limit in (p * p - 1, p * p, p * p + 1):
+            assert dirichlet.euler_strip(limit) == scalar_euler_strip(limit), limit
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_matches_scalar_sweep_at_block_edges(self, n):
+        # at n*1024 the multiples of 2 (n even) or of 3 (3 divides n) fill
+        # whole blocks of 1024; one below, their top block is one short
+        for limit in (n * 1024 - 1, n * 1024, n * 1024 + 1):
+            assert dirichlet.euler_strip(limit) == scalar_euler_strip(limit), limit
 
     def test_stripping_via_public_convolution(self):
         # replay the loop through dmul/one_minus_term: after each strip the

@@ -2,9 +2,14 @@
 
 ``fps.mul`` packs both operands into big integers (Kronecker substitution)
 and ``fps.invert`` is Newton iteration on it; the binomial branch of
-``fps.pow_one_minus_qpow`` adds shifted multiples of its input.  Each is
-checked here against the simplest code that computes the same thing.
+``fps.pow_one_minus_qpow`` adds shifted multiples of its input.  The
+single-factor passes, ``linear_combine`` and the ``is_one``/``is_zero``
+tests run as slice and ``map`` arithmetic.  Each is checked here against
+the simplest code that computes the same thing.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +37,30 @@ def recurrence_invert(a):
     return QSeries(a.order, tuple(b))
 
 
+def scalar_mul_one_minus_qpow(a, e):
+    cs = a.coeffs
+    return QSeries(a.order, tuple(c - cs[k - e] if k >= e else c for k, c in enumerate(cs)))
+
+
+def scalar_div_one_minus_qpow(a, e):
+    out = list(a.coeffs)
+    for k in range(e, a.order + 1):
+        out[k] += out[k - e]
+    return QSeries(a.order, tuple(out))
+
+
+def scalar_linear_combine(a, b, ca, cb):
+    return QSeries(a.order, tuple(ca * x + cb * y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def scalar_is_zero(a):
+    return all(c == 0 for c in a.coeffs)
+
+
+def scalar_is_one(a):
+    return a.coeffs[0] == 1 and all(c == 0 for c in a.coeffs[1:])
+
+
 def series(order, coeffs):
     return st.lists(coeffs, min_size=order + 1, max_size=order + 1).map(
         lambda cs: QSeries(order, tuple(cs))
@@ -52,6 +81,80 @@ def near_powers_of_two(kmax):
         st.sampled_from((-1, 1)),
     )
     return st.one_of(st.sampled_from((0, 1, -1)), edge)
+
+
+def edge_exponents(order):
+    """1, 2, floor(sqrt N), floor(sqrt N) + 1, N, N + 1 and one well past N."""
+    r = math.isqrt(order)
+    return sorted({e for e in (1, 2, r, r + 1, order, order + 1, order + 9) if e >= 1})
+
+
+def random_series(rng, order, bound=10**40):
+    return QSeries(order, tuple(rng.randint(-bound, bound) for _ in range(order + 1)))
+
+
+class TestSingleFactorPassesAgainstScalarLoops:
+    @pytest.mark.parametrize("order", range(71))
+    def test_every_exponent_at_every_order(self, order):
+        # e from 1 to N + 2 covers every block count, and every length of
+        # the last block from 1 to e
+        a = random_series(random.Random(order), order)
+        for e in range(1, order + 3):
+            assert fps.div_one_minus_qpow(a, e) == scalar_div_one_minus_qpow(a, e), e
+            assert fps.mul_one_minus_qpow(a, e) == scalar_mul_one_minus_qpow(a, e), e
+
+    @pytest.mark.parametrize("order, e", [(10, 3), (70, 8), (68, 7), (70, 36)])
+    def test_last_block_shorter_than_e(self, order, e):
+        assert (order + 1) % e
+        a = random_series(random.Random(e), order)
+        assert fps.div_one_minus_qpow(a, e) == scalar_div_one_minus_qpow(a, e)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 70), st.data())
+    def test_edge_exponents_with_big_signed_coefficients(self, order, data):
+        a = data.draw(series(order, BIG))
+        e = data.draw(st.sampled_from(edge_exponents(order)))
+        assert fps.div_one_minus_qpow(a, e) == scalar_div_one_minus_qpow(a, e)
+        assert fps.mul_one_minus_qpow(a, e) == scalar_mul_one_minus_qpow(a, e)
+
+
+NON_UNIT = BIG.filter(lambda k: k not in (-1, 0, 1))
+
+
+class TestLinearCombineAgainstScalarLoop:
+    @settings(deadline=None)
+    @given(st.integers(0, 70), st.data())
+    def test_unit_zero_and_general_coefficients(self, order, data):
+        a, b = data.draw(series(order, BIG)), data.draw(series(order, BIG))
+        k, j = data.draw(NON_UNIT), data.draw(NON_UNIT)
+        for ca in (1, -1, 0, k):
+            for cb in (1, -1, 0, j):
+                want = scalar_linear_combine(a, b, ca, cb)
+                assert fps.linear_combine(a, b, ca, cb) == want, (ca, cb)
+
+
+class TestUnitAndZeroTestsAgainstScalarLoops:
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 70])
+    def test_one_coefficient_off_zero_or_one(self, order):
+        for base in (fps.zero(order), fps.one(order)):
+            cases = [base]
+            for k in range(order + 1):
+                for c in (1, -1, 2, 10**40, -(10**40)):
+                    cs = list(base.coeffs)
+                    cs[k] += c
+                    cases.append(QSeries(order, tuple(cs)))
+            for a in cases:
+                assert a.is_zero() == scalar_is_zero(a), a
+                assert a.is_one() == scalar_is_one(a), a
+
+    @given(st.integers(0, 70), st.data())
+    def test_sparse_series(self, order, data):
+        terms = data.draw(st.lists(st.tuples(st.integers(0, order), BIG), max_size=3))
+        a = fps.from_support(order, terms)
+        b = fps.one(order) + a
+        for s in (a, b):
+            assert s.is_zero() == scalar_is_zero(s)
+            assert s.is_one() == scalar_is_one(s)
 
 
 class TestMulAgainstSchoolbook:
