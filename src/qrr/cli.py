@@ -59,7 +59,7 @@ def cmd_verify(identity: str, order: int, residues: frozenset[int] | None = None
     if residues is not None:
         pattern = prodmake.ResiduePattern(pattern.modulus, residues, pattern.multiplicity)
     lhs = sumside.rr_sum(shift, order)
-    rhs = prodmake.expand_product(pattern.product_form(order), order)
+    rhs = prodmake.pattern_series(pattern, order)
     payload = dict(identity=identity, pattern=pattern.to_json_dict(),
                    sum_head=fps.head_str(lhs), product_head=fps.head_str(rhs))
     bad = first_mismatch(lhs, rhs)
@@ -158,10 +158,9 @@ def cmd_sum(identity: str, order: int) -> CommandResult:
 
 def cmd_product(identity: str, order: int) -> CommandResult:
     pattern = _identity(identity).pattern
-    pf = pattern.product_form(order)
-    series = prodmake.expand_product(pf, order)
+    series = prodmake.pattern_series(pattern, order)  # first, so a huge order fails at once
     payload = dict(identity=identity, pattern=pattern.to_json_dict(), pattern_display=str(pattern),
-                   factors=pf.to_json_dict(), head=fps.head_str(series),
+                   factors=pattern.product_form(order).to_json_dict(), head=fps.head_str(series),
                    series=series.to_json_dict())
     return CommandResult("product", order, order, payload)
 

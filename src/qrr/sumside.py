@@ -1,96 +1,36 @@
-"""The two Rogers-Ramanujan sum sides and their functional equation.
-
-The central objects are the series
+"""The two Rogers-Ramanujan sum sides.
 
     sum_k q^(k^2) / (q;q)_k        (shift t = 0)
     sum_k q^(k^2+k) / (q;q)_k      (shift t = 1)
 
-where (q;q)_k = (1-q)(1-q^2)...(1-q^k), and the bivariate generating
-polynomial whose z^k coefficient is q^(k^2)/(q;q)_k.  That polynomial
-satisfies the functional equation
-
-    H(z,q) = H(zq,q) + z*q*H(zq^2,q)
-
-which is what ties the sums to the continued fraction in ``cfrac``.
+where (q;q)_k = (1-q)(1-q^2)...(1-q^k).  Their quotient is the
+continued fraction of ``cfrac``, through the functional equation
+H(z,q) = H(zq,q) + z*q*H(zq^2,q) of the bivariate sum
+H(z,q) = sum_k z^k q^(k^2) / (q;q)_k.
 """
 
-from . import fps, zpoly
+from itertools import accumulate
+from math import isqrt
+
 from .fps import QSeries
-from .zpoly import ZPolynomial
-
-
-def qrfac(k: int, order: int) -> QSeries:
-    """The q-Pochhammer factor (q;q)_k = (1-q)(1-q^2)...(1-q^k), truncated."""
-    if k < 0:
-        raise ValueError("Pochhammer index must be non-negative, got %d" % k)
-    acc = fps.one(order)
-    for j in range(1, k + 1):
-        acc = fps.mul_one_minus_qpow(acc, j)
-    return acc
-
-
-def _term_shift(t: int, k: int) -> int:
-    """Exponent jump from the (k-1)-th to the k-th summand: k^2+tk - ((k-1)^2+t(k-1))."""
-    return 2 * k - 1 + t
 
 
 def rr_sum(t: int, order: int) -> QSeries:
     """sum_{k>=0} q^(k^2+tk) / (q;q)_k truncated at ``order``.
 
-    Only the finitely many k with k^2 + t*k <= order contribute; each term
-    is obtained exactly from the previous one by multiplying with
-    q^(2k-1+t) / (1-q^k).
+    Nested from the inside out, 1 + q^(1+t)/(1-q) * (1 + q^(3+t)/(1-q^2) * (1 + ...)),
+    over the K levels with K^2 + tK <= order.  Level k is kept in one buffer
+    at offset k(k+t), where it lands in the sum, so it only runs to order
+    order - k(k+t).  Dividing it by 1-q^k is a running sum along each of
+    the k residue classes mod k: k ``accumulate`` passes in all.
     """
     if t < 0:
         raise ValueError("shift must be non-negative, got %d" % t)
-    total = fps.one(order)
-    term = fps.one(order)
-    k = 1
-    while k * k + t * k <= order:
-        term = fps.shift(fps.div_one_minus_qpow(term, k), _term_shift(t, k))
-        total = total + term
-        k += 1
-    return total
-
-
-def coeff_recurrence_check(kmax: int, order: int) -> bool:
-    """Check a_k * (1 - q^k) = q^(2k-1) * a_{k-1} for 1 <= k <= kmax.
-
-    Here a_k = q^(k^2) / (q;q)_k, built literally from ``qrfac`` and
-    ``invert``; the identity is what forces the closed form of the
-    coefficients once a_0 = 1 is fixed.
-    """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1, got %d" % kmax)
-    prev = fps.one(order)  # a_0
-    for k in range(1, kmax + 1):
-        a_k = fps.shift(fps.invert(qrfac(k, order)), k * k)
-        if fps.mul_one_minus_qpow(a_k, k) != fps.shift(prev, 2 * k - 1):
-            return False
-        prev = a_k
-    return True
-
-
-def h_bivariate(kmax: int, order: int) -> ZPolynomial:
-    """sum_{k=0..kmax} z^k * q^(k^2) / (q;q)_k as a ZPolynomial."""
-    if kmax < 0:
-        raise ValueError("z-degree cap must be non-negative, got %d" % kmax)
-    inv_poch = fps.one(order)  # 1/(q;q)_k, updated in place per k
-    coeffs = [fps.one(order)]
-    for k in range(1, kmax + 1):
-        inv_poch = fps.div_one_minus_qpow(inv_poch, k)
-        coeffs.append(fps.shift(inv_poch, k * k))
-    return ZPolynomial.from_zcoeffs(order, coeffs)
-
-
-def functional_equation_residual(kmax: int, order: int) -> ZPolynomial:
-    """H(z,q) - H(zq,q) - z*q*H(zq^2,q) for H truncated at z-degree kmax.
-
-    Away from the truncation boundary (z-degrees < kmax, q-orders within
-    range) every coefficient of the residual is zero.
-    """
-    h = h_bivariate(kmax, order)
-    rhs = zpoly.zadd(
-        zpoly.subst_zq(h, 1), zpoly.zshift(zpoly.subst_zq(h, 2), 1, 1)
-    )
-    return h - rhs
+    out = [0] * (order + 1)  # the full order, allocated before any level runs
+    for k in range((isqrt(t * t + 4 * order) - t) // 2, 0, -1):
+        start = k * (k + t)
+        out[start] += 1
+        for j in range(start, min(start + k, order + 1)):
+            out[j::k] = accumulate(out[j::k])
+    out[0] += 1
+    return QSeries(order, tuple(out))

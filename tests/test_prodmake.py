@@ -106,6 +106,38 @@ class TestExpandProduct:
         assert prodmake.expand_product(pf, order) == want
 
 
+THETA_PATTERNS = [
+    ResiduePattern(m, frozenset({r, m - r}), -1) for m in range(3, 13) for r in range(1, (m + 1) // 2)
+]
+
+
+class TestPatternSeries:
+    @pytest.mark.parametrize("pattern", THETA_PATTERNS, ids=str)
+    def test_theta_quotient_matches_expansion_at_every_order(self, pattern):
+        # truncating the expansion at 300 gives the expansion at every lower order
+        want = prodmake.expand_product(pattern.product_form(300), 300).coeffs
+        for order in range(301):
+            assert prodmake.pattern_series(pattern, order).coeffs == want[: order + 1], order
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            ResiduePattern(5, frozenset({1, 3}), -1),  # not r and M - r
+            ResiduePattern(6, frozenset({3}), -1),  # r == M - r
+            ResiduePattern(5, frozenset({1}), -1),
+            ResiduePattern(5, frozenset({0, 1, 4}), -1),
+            ResiduePattern(1, frozenset({0}), -1),
+            ResiduePattern(5, frozenset({1, 4}), -2),
+            ResiduePattern(5, frozenset({1, 4}), 1),
+        ],
+        ids=str,
+    )
+    def test_any_other_pattern_is_expanded_factor_by_factor(self, pattern):
+        for order in (0, 1, 9, 60):
+            want = prodmake.expand_product(pattern.product_form(order), order)
+            assert prodmake.pattern_series(pattern, order) == want, order
+
+
 class TestStripStep:
     def test_first_three_residuals_of_rr1(self):
         s = sumside.rr_sum(0, 20)
