@@ -8,13 +8,17 @@ numerators H_n(z,q), which satisfy
 
     H_n(z,q) = H_{n-1}(zq,q) + z*q*H_{n-2}(zq^2,q),   H_{-1} = H_0 = 1,
 
-with the n-th convergent equal to H_n(z,q) / H_{n-1}(zq,q).
+with the n-th convergent equal to H_n(z,q) / H_{n-1}(zq,q).  Each H_n is
+kept as rows of ints trimmed to its true q-degree (see ``zpoly``).  The full
+fraction at z = 1 is G(q)/H(q), the quotient of the two Rogers-Ramanujan
+sums, which by both identities is the theta quotient
+(q^2, q^3, q^5; q^5)_inf / (q, q^4, q^5; q^5)_inf.
 """
 
 import math
 from fractions import Fraction
 
-from . import fps, sumside, zpoly
+from . import fps, prodmake, zpoly
 from .fps import QSeries
 from .zpoly import ZPolynomial
 
@@ -60,16 +64,13 @@ def rr_numerators(n: int, order: int) -> list[ZPolynomial]:
     """The convergent numerators H_0 .. H_n at the given q-order."""
     if n < 0:
         raise ValueError("index must be non-negative, got %d" % n)
-    h_prev2 = zpoly.z_one(order)  # H_{-1}
-    h_prev1 = zpoly.z_one(order)  # H_0
-    out = [h_prev1]
-    for _ in range(n):
-        h = zpoly.zadd(
-            zpoly.subst_zq(h_prev1, 1),
-            zpoly.zshift(zpoly.subst_zq(h_prev2, 2), 1, 1),
+    out = [None] * (n + 1)  # every slot, allocated before the first step
+    out[0] = zpoly.z_one(order)  # H_0, which equals H_{-1}
+    for i in range(1, n + 1):
+        out[i] = zpoly.zadd(
+            zpoly.subst_zq(out[i - 1], 1),
+            zpoly.zshift(zpoly.subst_zq(out[max(i - 2, 0)], 2), 1, 1),
         )
-        out.append(h)
-        h_prev2, h_prev1 = h_prev1, h
     return out
 
 
@@ -92,7 +93,9 @@ def rr_convergent_series(hs: list[ZPolynomial], n: int) -> QSeries:
 
 
 def cfrac_series(order: int) -> QSeries:
-    """The full fraction at z = 1 as a q-series: the ratio of the two sums."""
-    return fps.mul(
-        sumside.rr_sum(0, order), fps.invert(sumside.rr_sum(1, order))
+    """The full fraction at z = 1 as a q-series: the ratio G(q)/H(q) of the
+    two sums, which is (q^2, q^3, q^5; q^5)_inf / (q, q^4, q^5; q^5)_inf
+    (Andrews, *The Theory of Partitions*, ch. 2 and 7), one sparse division."""
+    return prodmake.theta_quotient(
+        prodmake.triple_product(5, 2, order), prodmake.triple_product(5, 1, order), order
     )

@@ -14,6 +14,7 @@ residues that together generate exactly the observed exponent list, and
 ``pattern_series`` expands such a pattern back into a series.
 """
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import index as _as_int
@@ -132,39 +133,34 @@ def expand_product(pf: ProductForm, order: int) -> QSeries:
     return acc
 
 
-def _triple_product(a: int, b: int, order: int) -> dict[int, int]:
+def triple_product(a: int, b: int, order: int) -> Iterator[tuple[int, int]]:
     """sum over all integers n of (-1)^n q^(a*n(n-1)/2 + b*n) to ``order``, as
-    {exponent: coefficient}: (q^b, q^(a-b), q^a; q^a)_inf by Jacobi's triple
-    product, for 0 < b < a with b != a-b.  Terms n and -n sit at
+    (exponent, coefficient) pairs: (q^b, q^(a-b), q^a; q^a)_inf by Jacobi's
+    triple product, for 0 < b < a with b != a-b.  Terms n and -n sit at
     a*n(n-1)/2 + b*n and a*n(n-1)/2 + (a-b)*n, so about 2*sqrt(2*order/a) are kept.
     """
-    terms = {0: 1}
+    yield 0, 1
     n = 1
     while (base := a * n * (n - 1) // 2) + min(b, a - b) * n <= order:
         for e in (base + b * n, base + (a - b) * n):
             if e <= order:
-                terms[e] = (-1) ** n
+                yield e, (-1) ** n
         n += 1
-    return terms
 
 
-def pattern_series(pattern: ResiduePattern, order: int) -> QSeries:
-    """The pattern's product expanded to ``order``.
-
-    1/prod over e = +-r (mod M) of (1-q^e), with 0 < r < M-r, is the theta
-    quotient (q^M;q^M)_inf / (q^r, q^(M-r), q^M; q^M)_inf (Andrews, *The
-    Theory of Partitions*, ch. 2).  Numerator (Euler's pentagonal series) and
-    denominator are sparse, so one pass y_k = num_k - sum_g den_g*y_(k-g)
-    divides them in O(order^1.5).  Any other pattern is expanded factor by
-    factor.
-    """
-    m, (r, *rest) = pattern.modulus, sorted(pattern.residues)
-    if pattern.multiplicity != -1 or rest != [m - r]:
-        return expand_product(pattern.product_form(order), order)
+def theta_quotient(num_terms: Iterable[tuple[int, int]], den_terms: Iterable[tuple[int, int]],
+                   order: int) -> QSeries:
+    """num/den to ``order``, each given by sparse (exponent, coefficient) pairs;
+    den has constant term 1, every other coefficient +-1 and no exponent twice.
+    One pass y_k = num_k - sum_g den_g*y_(k-g) takes O(order * #den) additions.
+    The terms are read only after the output is allocated at the full order."""
     num = [0] * (order + 1)  # the full order, allocated before any work
-    for e, c in _triple_product(3 * m, m, order).items():
-        num[e] = c
-    den = _triple_product(m, r, order)
+    for e, c in num_terms:
+        if e <= order:
+            num[e] += c
+    den = dict(den_terms)
+    if den.get(0) != 1 or any(c not in (1, -1) for c in den.values()):
+        raise ValueError("denominator needs constant term 1 and coefficients +-1")
     adds, subs = [], []  # -g for each exponent 1 <= g <= k with den_g = -1, and with +1
     y = []  # y_0 .. y_(k-1), so y[-g] is y_(k-g)
     get = y.__getitem__
@@ -173,6 +169,21 @@ def pattern_series(pattern: ResiduePattern, order: int) -> QSeries:
             (adds if den[k] < 0 else subs).append(-k)
         y.append(c + sum(map(get, adds)) - sum(map(get, subs)))
     return QSeries(order, tuple(y))
+
+
+def pattern_series(pattern: ResiduePattern, order: int) -> QSeries:
+    """The pattern's product expanded to ``order``.
+
+    1/prod over e = +-r (mod M) of (1-q^e), with 0 < r < M-r, is the theta
+    quotient (q^M;q^M)_inf / (q^r, q^(M-r), q^M; q^M)_inf (Andrews, *The
+    Theory of Partitions*, ch. 2).  Numerator (Euler's pentagonal series) and
+    denominator are sparse, so ``theta_quotient`` divides them in
+    O(order^1.5).  Any other pattern is expanded factor by factor.
+    """
+    m, (r, *rest) = pattern.modulus, sorted(pattern.residues)
+    if pattern.multiplicity != -1 or rest != [m - r]:
+        return expand_product(pattern.product_form(order), order)
+    return theta_quotient(triple_product(3 * m, m, order), triple_product(m, r, order), order)
 
 
 def strip_step(s: QSeries) -> StripStep:

@@ -1,140 +1,104 @@
-"""Polynomials in z whose coefficients are truncated q-series.
+"""Polynomials in z whose coefficients are truncated q-polynomials.
 
 The z-degree is kept exact (it stays small for everything this toolkit
 computes); only q is truncated, at a single order shared by all
 coefficients.  The key operation is the substitution z -> z*q^j, which
 multiplies the coefficient of z^d by q^(j*d).
+
+Each z-coefficient is stored as a row of ints trimmed to its true
+q-degree, so the convergent numerators H_n, whose q-degree is far below
+the order, never carry the zeros up to it.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add
 
-from . import fps
 from .fps import QSeries
 
 
 @dataclass(frozen=True)
 class ZPolynomial:
-    """Polynomial in z over the truncated q-series ring.
+    """Polynomial in z over the q-polynomials truncated at ``qorder``.
 
-    ``zcoeffs[d]`` is the coefficient of z^d.  The zero polynomial is
-    stored as an empty tuple; otherwise the leading coefficient is a
-    nonzero series, so equal values compare equal structurally.
+    ``rows[d]`` holds the coefficients of q^0 .. q^k in the coefficient of
+    z^d: at most qorder+1 of them and no trailing zero, so an empty row is
+    a zero coefficient.  The last row is non-empty and the zero polynomial
+    has no rows, so equal values compare equal structurally.
     """
 
     qorder: int
-    zcoeffs: tuple[QSeries, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.qorder < 0:
             raise ValueError("qorder must be non-negative, got %d" % self.qorder)
-        for c in self.zcoeffs:
-            if c.order != self.qorder:
-                raise ValueError(
-                    "coefficient order %d differs from qorder %d"
-                    % (c.order, self.qorder)
-                )
-        if self.zcoeffs and self.zcoeffs[-1].is_zero():
+        for row in self.rows:
+            if len(row) > self.qorder + 1 or (row and not row[-1]):
+                raise ValueError("row %r is not trimmed to qorder %d" % (row, self.qorder))
+        if self.rows and not self.rows[-1]:
             raise ValueError("leading z-coefficient must be nonzero (unnormalized)")
 
-    @classmethod
-    def from_zcoeffs(cls, qorder: int, coeffs) -> "ZPolynomial":
-        """Build from a sequence of QSeries, trimming trailing zero series."""
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return cls(qorder, tuple(cs))
-
-    @classmethod
-    def from_terms(cls, qorder: int, terms: dict[tuple[int, int], int]) -> "ZPolynomial":
-        """Build from {(z_degree, q_power): coefficient}."""
-        if not terms:
-            return cls(qorder, ())
-        zdeg = max(d for d, _ in terms)
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(zdeg + 1)]
-        for (d, k), c in terms.items():
-            rows[d].append((k, c))
-        return cls.from_zcoeffs(
-            qorder, [fps.from_support(qorder, row) for row in rows]
-        )
-
-    @property
-    def zdegree(self) -> int:
-        """Degree in z; -1 for the zero polynomial."""
-        return len(self.zcoeffs) - 1
-
-    def zcoeff(self, d: int) -> QSeries:
-        """Coefficient of z^d (zero series beyond the stored degree)."""
-        if d < len(self.zcoeffs):
-            return self.zcoeffs[d]
-        return fps.zero(self.qorder)
-
-    def is_zero(self) -> bool:
-        return not self.zcoeffs
-
-    def __add__(self, other: "ZPolynomial") -> "ZPolynomial":
-        return zadd(self, other)
-
-    def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
-        return zadd(self, zscale(other, -1))
-
     def __str__(self) -> str:
-        terms = []
-        for d, series in enumerate(self.zcoeffs):
-            for k, c in enumerate(series.coeffs):
-                if c:
-                    terms.append((d, k, c))
-        if not terms:
-            return "0"
+        qparts = ["", "q"] + ["q^%d" % k for k in range(2, max(map(len, self.rows), default=0))]
         parts = []
-        for d, k, c in terms:
+        for d, row in enumerate(self.rows):
             zpart = "" if d == 0 else ("z" if d == 1 else "z^%d" % d)
-            qpart = "" if k == 0 else ("q" if k == 1 else "q^%d" % k)
-            body = zpart + qpart
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = "%d%s" % (mag, body)
-            parts.append(("-" if c < 0 else "+") + piece)
-        text = "".join(parts)
+            for k in compress(range(len(row)), row):  # the nonzero terms only
+                c, body = row[k], zpart + qparts[k]
+                if c in (1, -1):
+                    parts.append(("+" if c > 0 else "-") + (body or "1"))
+                else:
+                    parts.append("%+d%s" % (c, body))
+        text = "".join(parts) or "0"
         return text[1:] if text.startswith("+") else text
 
-    def to_json_list(self) -> list:
-        """JSON form: list of QSeries renderings indexed by z-degree."""
-        return [c.to_json_dict() for c in self.zcoeffs]
+
+def _trimmed(row: tuple[int, ...]) -> tuple[int, ...]:
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    return row[:end]
+
+
+def _normalized(qorder: int, rows: list) -> ZPolynomial:
+    """The polynomial of these trimmed rows, with trailing empty rows dropped."""
+    while rows and not rows[-1]:
+        rows.pop()
+    return ZPolynomial(qorder, tuple(rows))
+
+
+def _shifted(row: tuple[int, ...], m: int, qorder: int) -> tuple[int, ...]:
+    """A trimmed row times q^m, truncated at ``qorder``."""
+    kept = _trimmed(row[: qorder + 1 - m]) if m <= qorder else ()
+    return (0,) * m + kept if kept and m else kept
 
 
 def z_one(qorder: int) -> ZPolynomial:
-    return ZPolynomial(qorder, (fps.one(qorder),))
-
-
-def _check_qorders(a: ZPolynomial, b: ZPolynomial) -> None:
-    if a.qorder != b.qorder:
-        raise ValueError("mismatched qorders: %d vs %d" % (a.qorder, b.qorder))
+    return ZPolynomial(qorder, ((1,),))
 
 
 def zadd(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
-    _check_qorders(a, b)
-    width = max(len(a.zcoeffs), len(b.zcoeffs))
-    return ZPolynomial.from_zcoeffs(
-        a.qorder, [a.zcoeff(d) + b.zcoeff(d) for d in range(width)]
-    )
-
-
-def zscale(a: ZPolynomial, c: int) -> ZPolynomial:
-    return ZPolynomial.from_zcoeffs(a.qorder, [c * s for s in a.zcoeffs])
+    if a.qorder != b.qorder:
+        raise ValueError("mismatched qorders: %d vs %d" % (a.qorder, b.qorder))
+    if len(a.rows) < len(b.rows):
+        a, b = b, a
+    rows = []
+    for x, y in zip(a.rows, b.rows):
+        if len(x) < len(y):
+            x, y = y, x
+        # only rows of equal length can cancel at the top
+        rows.append(_trimmed(tuple(map(add, x, y))) if len(x) == len(y)
+                    else tuple(map(add, x, y)) + x[len(y):])
+    rows.extend(a.rows[len(b.rows):])
+    return _normalized(a.qorder, rows)
 
 
 def zshift(a: ZPolynomial, k: int, m: int) -> ZPolynomial:
     """Multiply by z^k * q^m."""
     if k < 0 or m < 0:
         raise ValueError("zshift powers must be non-negative")
-    padding = [fps.zero(a.qorder)] * k
-    return ZPolynomial.from_zcoeffs(
-        a.qorder, padding + [fps.shift(c, m) for c in a.zcoeffs]
-    )
+    return _normalized(a.qorder, [()] * k + [_shifted(row, m, a.qorder) for row in a.rows])
 
 
 def subst_zq(p: ZPolynomial, j: int) -> ZPolynomial:
@@ -143,16 +107,24 @@ def subst_zq(p: ZPolynomial, j: int) -> ZPolynomial:
         raise ValueError("substitution power must be non-negative, got %d" % j)
     if j == 0:
         return p
-    return ZPolynomial.from_zcoeffs(
-        p.qorder, [fps.shift(c, j * d) for d, c in enumerate(p.zcoeffs)]
-    )
+    return _normalized(p.qorder, [_shifted(row, j * d, p.qorder) for d, row in enumerate(p.rows)])
 
 
 def eval_z_at_qpow(p: ZPolynomial, t: int) -> QSeries:
-    """Set z = q^t (t = 0 means z = 1) and collapse to a single q-series."""
+    """Set z = q^t (t = 0 means z = 1) and collapse to a single q-series.
+
+    The rows are summed into a list as long as the longest shifted row,
+    which is padded with zeros out to the order once, at the end.
+    """
     if t < 0:
         raise ValueError("evaluation power must be non-negative, got %d" % t)
-    acc = fps.zero(p.qorder)
-    for d, c in enumerate(p.zcoeffs):
-        acc = acc + fps.shift(c, t * d)
-    return acc
+    n = p.qorder
+    acc = []
+    for d, row in enumerate(p.rows):
+        s = t * d
+        if s > n:
+            break
+        row = row[: n + 1 - s]
+        acc.extend([0] * (s + len(row) - len(acc)))
+        acc[s : s + len(row)] = map(add, acc[s : s + len(row)], row)
+    return QSeries(n, tuple(acc) + (0,) * (n + 1 - len(acc)))

@@ -1,12 +1,15 @@
 """Plain constructions of the sum sides, used only as test oracles.
 
 ``rr_sum_termwise`` is the term-by-term loop that ``sumside.rr_sum``
-replaced with a nested evaluation; the rest build the Pochhammer factors,
-the bivariate sum H(z,q) and its functional equation literally.
+replaced with a nested evaluation, and ``cfrac_sum_ratio`` the division of
+the two sums that ``cfrac.cfrac_series`` replaced with a theta quotient;
+the rest build the Pochhammer factors, the bivariate sum H(z,q) and its
+functional equation literally.
 """
 
-from qrr import fps, zpoly
-from qrr.zpoly import ZPolynomial
+from qrr import fps, sumside, zpoly
+
+from zpoly_oracles import DenseZPolynomial, to_rows, zsub
 
 
 def qrfac(k, order):
@@ -32,6 +35,11 @@ def rr_sum_termwise(t, order):
     return total
 
 
+def cfrac_sum_ratio(order):
+    """The continued fraction at z = 1 as the ratio rr_sum(0) / rr_sum(1) of the sums."""
+    return fps.mul(sumside.rr_sum(0, order), fps.invert(sumside.rr_sum(1, order)))
+
+
 def coeff_recurrence_check(kmax, order):
     """Check a_k * (1 - q^k) = q^(2k-1) * a_{k-1} for 1 <= k <= kmax.
 
@@ -51,7 +59,7 @@ def coeff_recurrence_check(kmax, order):
 
 
 def h_bivariate(kmax, order):
-    """sum_{k=0..kmax} z^k * q^(k^2) / (q;q)_k as a ZPolynomial."""
+    """sum_{k=0..kmax} z^k * q^(k^2) / (q;q)_k as a ZPolynomial of trimmed rows."""
     if kmax < 0:
         raise ValueError("z-degree cap must be non-negative, got %d" % kmax)
     inv_poch = fps.one(order)  # 1/(q;q)_k, updated per k
@@ -59,7 +67,7 @@ def h_bivariate(kmax, order):
     for k in range(1, kmax + 1):
         inv_poch = fps.div_one_minus_qpow(inv_poch, k)
         coeffs.append(fps.shift(inv_poch, k * k))
-    return ZPolynomial.from_zcoeffs(order, coeffs)
+    return to_rows(DenseZPolynomial.from_zcoeffs(order, coeffs))
 
 
 def functional_equation_residual(kmax, order):
@@ -70,4 +78,4 @@ def functional_equation_residual(kmax, order):
     """
     h = h_bivariate(kmax, order)
     rhs = zpoly.zadd(zpoly.subst_zq(h, 1), zpoly.zshift(zpoly.subst_zq(h, 2), 1, 1))
-    return h - rhs
+    return zsub(h, rhs)

@@ -8,13 +8,13 @@ floating-point diagnostic and is bounded by 1e-7 as stated.
 import random
 import time
 
-from qrr import cfrac, dirichlet, fps, prodmake, sumside, zpoly
+from qrr import cfrac, dirichlet, fps, prodmake, sumside
 from qrr.cli import IDENTITIES, cmd_verify
 from qrr.fps import QSeries
 from qrr.prodmake import ProductForm, ResiduePattern
-from qrr.zpoly import ZPolynomial
 
-from sumside_oracles import functional_equation_residual
+from sumside_oracles import cfrac_sum_ratio, functional_equation_residual
+from zpoly_oracles import from_terms
 
 VERIFY_BUDGET_SECONDS = 10.0
 
@@ -123,8 +123,8 @@ def test_criterion_06_symbolic_convergents():
     ok = True
     for n in range(1, 5):
         num, den = cfrac.rr_convergent(hs, n)
-        ok = ok and hs[n] == num == ZPolynomial.from_terms(10, want_numerators[n])
-        ok = ok and den == ZPolynomial.from_terms(10, want_denominators[n])
+        ok = ok and hs[n] == num == from_terms(10, want_numerators[n])
+        ok = ok and den == from_terms(10, want_denominators[n])
     check(
         ok,
         "criterion 6: H_1..H_4 and denominators match the hand-expanded "
@@ -134,9 +134,7 @@ def test_criterion_06_symbolic_convergents():
 
 def test_criterion_07_functional_equation_k10_n200():
     residual = functional_equation_residual(10, 200)
-    ok = all(
-        residual.zcoeff(d).coeffs[i] == 0 for d in range(10) for i in range(181)
-    )
+    ok = not any(c for row in residual.rows[:10] for c in row[:181])
     check(
         ok,
         "criterion 7: H(z,q) = H(zq,q) + zqH(zq^2,q) exactly for z-deg <= 9, "
@@ -227,4 +225,13 @@ def test_criterion_11_two_product_routes_to_order_2000():
         ok,
         "criterion 11: rr1 and rr2 sums == theta quotient == factor-by-factor "
         "product at every order <= 2000",
+    )
+
+
+def test_criterion_12_two_continued_fraction_routes_to_order_2000():
+    ok = cfrac_sum_ratio(2000) == cfrac.cfrac_series(2000)
+    check(
+        ok,
+        "criterion 12: rr_sum(0) * invert(rr_sum(1)) == the theta quotient "
+        "(q^2,q^3,q^5;q^5)/(q,q^4,q^5;q^5) at every order <= 2000",
     )

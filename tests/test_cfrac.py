@@ -5,11 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qrr import cfrac, fps, zpoly
-from qrr.zpoly import ZPolynomial
 
-
-def ZP(qorder, terms):
-    return ZPolynomial.from_terms(qorder, terms)
+from zpoly_oracles import from_terms as ZP
 
 
 # Expanded convergent polynomials for c_1 .. c_4: numerator terms keyed

@@ -283,16 +283,21 @@ class TestExitCodes:
         assert proc.stderr == b""
         assert proc.returncode == 0
 
-    @pytest.mark.parametrize("command", ["sum", "verify", "discover", "product"])
-    def test_huge_order_fails_at_once(self, command):
-        # 10^12 + 1 is not a square, so the sum's innermost level is small: only
-        # an allocation at the full order before any work fails at once.  The
-        # child may take 1 GiB and 30 s of CPU, and must stop far below both.
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param([command, "-N", "1000000000001"], id=command)
+          for command in ["sum", "verify", "discover", "product"]),
+        pytest.param(["cfrac", "rr", "-n", "100000000000", "-N", "10"], id="cfrac-steps"),
+    ])
+    def test_huge_order_fails_at_once(self, argv):
+        # 10^12 + 1 is not a square, so the sum's innermost level is small, and
+        # 10^11 convergent steps at order 10 are each cheap: only an allocation
+        # of the full output before any work fails at once.  The child may
+        # take 1 GiB and 30 s of CPU, and must stop far below both.
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
 
-        with subprocess.Popen(**cli_child([command, "-N", "1000000000001"]), preexec_fn=cap,
+        with subprocess.Popen(**cli_child(argv), preexec_fn=cap,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             out, err = proc.stdout.read(), proc.stderr.read()
             _, status, usage = os.wait4(proc.pid, 0)

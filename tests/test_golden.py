@@ -9,6 +9,7 @@ the file from the command, e.g.
     PYTHONPATH=src python -m qrr.cli --format json zeta -N 100 > tests/golden/zeta-100.json
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,17 @@ COMMANDS = {
     "discover-rr1-3": ["discover", "--identity", "rr1", "-N", "3"],
     "cfrac-golden-8": ["cfrac", "golden", "-n", "8"],
     "cfrac-rr-4-10": ["cfrac", "rr", "-n", "4", "-N", "10"],
+    "cfrac-rr-12-10000": ["cfrac", "rr", "-n", "12", "-N", "10000"],
     "zeta-100": ["zeta", "-N", "100"],
     "sum-rr2-20": ["sum", "--identity", "rr2", "-N", "20"],
     "product-rr2-20": ["product", "--identity", "rr2", "-N", "20"],
+}
+
+# ``cfrac rr -n 30 -N 1500`` prints about 205 KB in either format, so the
+# SHA-256 of its stdout stands in for a golden file.
+DIGESTS = {
+    "text": "044345d016e51b4b131a012f56d15594b0d1f318595e6bbcb6d39fca2315b692",
+    "json": "3dad4cfbc9b49160a6c4c1ab9aeea5be86a74f127b2ddc22faeb909e78938e0d",
 }
 
 
@@ -51,3 +60,11 @@ def test_mismatch_render(fmt):
     result = cli.cmd_verify("rr1", 30, residues=frozenset({1, 3}))
     assert result.exit_code() == 1
     assert (cli.render(result, fmt) + "\n").encode() == golden("verify-rr1-30-residues-1-3", fmt)
+
+
+@pytest.mark.parametrize("fmt", SUFFIX)
+def test_large_cfrac_digest(fmt, capsys):
+    code = cli.main(["--format", fmt, "cfrac", "rr", "-n", "30", "-N", "1500"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == DIGESTS[fmt]

@@ -1,5 +1,7 @@
 """Tests for product expansion, stripping, and progression detection."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,67 @@ class TestPatternSeries:
         for order in (0, 1, 9, 60):
             want = prodmake.expand_product(pattern.product_form(order), order)
             assert prodmake.pattern_series(pattern, order) == want, order
+
+
+def schoolbook_divide(num_terms, den_terms, order):
+    """num/den to ``order`` by the plain recurrence y_k = (num_k - sum_(g>=1) den_g y_(k-g)) / den_0."""
+    num, den = [0] * (order + 1), [0] * (order + 1)
+    for terms, out in ((num_terms, num), (den_terms, den)):
+        for e, c in terms:
+            if e <= order:
+                out[e] += c
+    y = []
+    for k in range(order + 1):
+        y.append((num[k] - sum(den[g] * y[k - g] for g in range(1, k + 1))) // den[0])
+    return QSeries(order, tuple(y))
+
+
+def pm_one_terms(rng, top, count):
+    """1 plus ``count`` random +-1 terms at distinct exponents in 1..top."""
+    return [(0, 1)] + [(e, rng.choice((1, -1))) for e in rng.sample(range(1, top + 1), count)]
+
+
+_RNG = random.Random(2016)
+# (numerator, denominator, the product it equals or None): the continued
+# fraction's quotient, rr1's, a quotient with a dense numerator, and random
+# sparse +-1 pairs, some with terms above the order
+DIVISIONS = [
+    (list(prodmake.triple_product(5, 2, 300)), list(prodmake.triple_product(5, 1, 300)),
+     ProductForm({e: 1 if e % 5 in (2, 3) else -1 for e in range(1, 301) if e % 5})),
+    (list(prodmake.triple_product(15, 5, 300)), list(prodmake.triple_product(5, 1, 300)),
+     ProductForm({e: -1 for e in range(1, 301) if e % 5 in (1, 4)})),
+    (list(prodmake.triple_product(7, 3, 300)), list(prodmake.triple_product(7, 1, 300)),
+     ProductForm({e: 1 if e % 7 in (3, 4) else -1 for e in range(1, 301) if e % 7 in (1, 3, 4, 6)})),
+    ([(k, 3 - k % 7) for k in range(301)], list(prodmake.triple_product(9, 2, 300)), None),
+    *((pm_one_terms(_RNG, 400, 12), pm_one_terms(_RNG, 400, 20), None) for _ in range(4)),
+]
+
+
+class TestThetaQuotient:
+    @pytest.mark.parametrize("num,den,product", DIVISIONS)
+    def test_matches_schoolbook_division_at_every_order(self, num, den, product):
+        # truncating the quotient at 300 gives the quotient at every lower order
+        want = schoolbook_divide(num, den, 300)
+        if product is not None:
+            assert prodmake.expand_product(product, 300) == want
+        for order in range(301):
+            got = prodmake.theta_quotient(iter(num), iter(den), order)
+            assert got.coeffs == want.coeffs[: order + 1], order
+
+    @pytest.mark.parametrize("den", [[(0, 2), (1, 1)], [(0, 1), (3, 2)], [(1, 1)], [(0, -1)]])
+    def test_rejects_a_denominator_it_cannot_divide_by(self, den):
+        with pytest.raises(ValueError):
+            prodmake.theta_quotient([(0, 1)], den, 10)
+
+    @pytest.mark.parametrize("a,b", [(5, 1), (5, 2), (15, 5), (7, 3), (3, 1)])
+    def test_triple_product_is_the_theta_series(self, a, b):
+        order = 200
+        want = {}
+        for n in range(-30, 31):
+            e = a * n * (n - 1) // 2 + b * n
+            if e <= order:
+                want[e] = want.get(e, 0) + (-1) ** n
+        assert dict(prodmake.triple_product(a, b, order)) == want
 
 
 class TestStripStep:

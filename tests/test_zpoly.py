@@ -1,15 +1,25 @@
-"""Tests for polynomials in z over the truncated q-series ring."""
+"""Tests for polynomials in z over the truncated q-polynomials."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qrr import fps, zpoly
 from qrr.fps import QSeries
 from qrr.zpoly import ZPolynomial
 
-
-def ZP(qorder, terms):
-    return ZPolynomial.from_terms(qorder, terms)
+from zpoly_oracles import (
+    DenseZPolynomial,
+    dense_eval_z_at_qpow,
+    dense_subst_zq,
+    dense_zadd,
+    dense_zscale,
+    dense_zshift,
+    from_terms as ZP,
+    to_dense,
+    to_json_list,
+    to_rows,
+    zsub,
+)
 
 
 def zpolys(max_zdeg=3, max_qorder=8):
@@ -17,7 +27,7 @@ def zpolys(max_zdeg=3, max_qorder=8):
         terms = {}
         for d, k, c in entries:
             terms[(d, k % (qorder + 1))] = c
-        return ZPolynomial.from_terms(qorder, terms)
+        return ZP(qorder, terms)
 
     return st.tuples(
         st.integers(0, max_qorder),
@@ -28,26 +38,44 @@ def zpolys(max_zdeg=3, max_qorder=8):
     ).map(lambda t: build(*t))
 
 
+def dense_polys(qorder, max_zdeg=4):
+    """Dense polynomials whose rows reach any q-degree up to the order, with
+    small coefficients so that sums cancel often; the zero polynomial included."""
+    row = st.lists(st.integers(-2, 2), max_size=qorder + 1)
+    return st.lists(row, max_size=max_zdeg + 1).map(
+        lambda rows: DenseZPolynomial.from_zcoeffs(
+            qorder, [QSeries.from_coeffs(r, qorder) for r in rows]
+        )
+    )
+
+
+QORDERS = st.integers(0, 8)
+ZERO_AT_0 = DenseZPolynomial(0, ())
+ONE_AT_0 = DenseZPolynomial(0, (fps.one(0),))
+
+
 class TestConstruction:
-    def test_from_zcoeffs_trims_trailing_zeros(self):
-        p = ZPolynomial.from_zcoeffs(3, [fps.one(3), fps.zero(3), fps.zero(3)])
-        assert p.zdegree == 0
+    def test_rows_are_trimmed(self):
+        assert ZP(3, {(0, 0): 1, (1, 1): 2}).rows == ((1,), (0, 2))
 
     def test_zero_polynomial_is_empty(self):
-        p = ZPolynomial.from_zcoeffs(3, [fps.zero(3)])
-        assert p.is_zero() and p.zcoeffs == ()
+        assert ZP(3, {(1, 2): 0}).rows == ()
+        assert zpoly.zadd(zpoly.z_one(3), ZP(3, {(0, 0): -1})).rows == ()
 
     def test_rejects_unnormalized_leading_zero(self):
         with pytest.raises(ValueError):
-            ZPolynomial(3, (fps.one(3), fps.zero(3)))
+            ZPolynomial(3, ((1,), ()))
 
-    def test_rejects_mismatched_coefficient_order(self):
+    def test_rejects_untrimmed_row(self):
         with pytest.raises(ValueError):
-            ZPolynomial(3, (fps.one(4),))
+            ZPolynomial(3, ((1, 0),))
 
-    def test_zcoeff_beyond_degree_is_zero_series(self):
-        p = zpoly.z_one(5)
-        assert p.zcoeff(3) == fps.zero(5)
+    def test_rejects_row_beyond_qorder(self):
+        with pytest.raises(ValueError):
+            ZPolynomial(3, ((1, 0, 0, 0, 1),))
+
+    def test_inner_zero_row_is_empty(self):
+        assert ZP(4, {(0, 0): 1, (2, 4): 1}).rows == ((1,), (), (0, 0, 0, 0, 1))
 
 
 class TestSubstZq:
@@ -62,6 +90,10 @@ class TestSubstZq:
     def test_z_to_zq_shifts_each_degree(self):
         got = zpoly.subst_zq(ZP(5, {(0, 0): 1, (1, 1): 1, (1, 2): 1}), 1)
         assert got == ZP(5, {(0, 0): 1, (1, 2): 1, (1, 3): 1})
+
+    def test_truncation_drops_rows_past_the_order(self):
+        got = zpoly.subst_zq(ZP(3, {(0, 0): 1, (1, 1): 1, (2, 0): 1}), 2)
+        assert got == ZP(3, {(0, 0): 1, (1, 3): 1})
 
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
@@ -83,6 +115,9 @@ class TestArithmetic:
     def test_zshift_makes_zq(self):
         assert zpoly.zshift(zpoly.z_one(4), 1, 1) == ZP(4, {(1, 1): 1})
 
+    def test_zshift_past_the_order_is_zero(self):
+        assert zpoly.zshift(ZP(4, {(0, 1): 1, (2, 3): 1}), 2, 4).rows == ()
+
     def test_zshift_rejects_negative(self):
         with pytest.raises(ValueError):
             zpoly.zshift(zpoly.z_one(4), -1, 0)
@@ -91,6 +126,11 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             zpoly.zadd(zpoly.z_one(3), zpoly.z_one(4))
 
+    def test_cancelling_top_rows_are_dropped(self):
+        a = ZP(6, {(0, 0): 1, (1, 2): 1, (2, 5): 3, (2, 1): 1})
+        b = ZP(6, {(1, 4): 2, (2, 5): -3, (2, 1): -1})
+        assert zpoly.zadd(a, b) == ZP(6, {(0, 0): 1, (1, 2): 1, (1, 4): 2})
+
     @given(st.integers(0, 6), st.data())
     def test_ring_axioms(self, qorder, data):
         terms = st.dictionaries(
@@ -98,12 +138,12 @@ class TestArithmetic:
             st.integers(-5, 5),
             max_size=6,
         )
-        a, b, c = (ZPolynomial.from_terms(qorder, data.draw(terms)) for _ in range(3))
+        a, b, c = (ZP(qorder, data.draw(terms)) for _ in range(3))
         zero = ZPolynomial(qorder, ())
         assert zpoly.zadd(zpoly.zadd(a, b), c) == zpoly.zadd(a, zpoly.zadd(b, c))
         assert zpoly.zadd(a, b) == zpoly.zadd(b, a)
         assert zpoly.zadd(a, zero) == a
-        assert a - a == zero
+        assert zsub(a, a) == zero
 
 
 class TestEval:
@@ -119,6 +159,9 @@ class TestEval:
 
     def test_constant_ignores_power(self):
         assert zpoly.eval_z_at_qpow(zpoly.z_one(6), 5) == fps.one(6)
+
+    def test_zero_pads_to_the_order(self):
+        assert zpoly.eval_z_at_qpow(ZPolynomial(4, ()), 1) == fps.zero(4)
 
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
@@ -140,12 +183,66 @@ class TestRendering:
         p = ZP(5, {(0, 0): 1, (1, 0): -2, (2, 3): 3})
         assert str(p) == "1-2z+3z^2q^3"
 
+    def test_leading_minus(self):
+        assert str(ZP(5, {(0, 2): -1, (3, 0): 4})) == "-q^2+4z^3"
+
     def test_zero(self):
         assert str(ZPolynomial(3, ())) == "0"
 
     def test_json_is_list_by_degree(self):
         p = ZP(2, {(0, 0): 1, (1, 1): 1})
-        assert p.to_json_list() == [
+        assert to_json_list(p) == [
             {"order": 2, "coeffs": ["1", "0", "0"]},
             {"order": 2, "coeffs": ["0", "1", "0"]},
         ]
+
+
+class TestAgainstDense:
+    """Rows against the dense oracle.  Shifts reach past the order, where
+    truncation bites, and the operands include the zero polynomial, qorder 0
+    and sums whose top rows cancel."""
+
+    @given(QORDERS.flatmap(dense_polys))
+    @example(ZERO_AT_0)
+    @example(ONE_AT_0)
+    def test_round_trip(self, p):
+        assert to_dense(to_rows(p)) == p
+
+    @given(QORDERS.flatmap(dense_polys), st.integers(0, 11))
+    @example(ZERO_AT_0, 1)
+    @example(ONE_AT_0, 1)
+    def test_subst_zq(self, p, j):
+        assert zpoly.subst_zq(to_rows(p), j) == to_rows(dense_subst_zq(p, j))
+
+    @given(QORDERS.flatmap(dense_polys), st.integers(0, 3), st.integers(0, 11))
+    @example(ZERO_AT_0, 2, 0)
+    @example(ONE_AT_0, 1, 1)
+    def test_zshift(self, p, k, m):
+        assert zpoly.zshift(to_rows(p), k, m) == to_rows(dense_zshift(p, k, m))
+
+    @given(QORDERS.flatmap(lambda n: st.tuples(dense_polys(n), dense_polys(n))))
+    @example((ZERO_AT_0, ZERO_AT_0))
+    @example((ONE_AT_0, ZERO_AT_0))
+    def test_zadd(self, pair):
+        a, b = pair
+        assert zpoly.zadd(to_rows(a), to_rows(b)) == to_rows(dense_zadd(a, b))
+
+    @given(QORDERS.flatmap(lambda n: st.tuples(dense_polys(n), dense_polys(n, max_zdeg=2))))
+    @example((ONE_AT_0, ZERO_AT_0))
+    def test_zadd_with_cancelling_top_rows(self, pair):
+        # b = c - a, so a + b = c: every row of a above c's degree cancels
+        a, c = pair
+        b = dense_zadd(c, dense_zscale(a, -1))
+        assert zpoly.zadd(to_rows(a), to_rows(b)) == to_rows(c)
+
+    @given(QORDERS.flatmap(dense_polys), st.integers(0, 11))
+    @example(ZERO_AT_0, 0)
+    @example(ONE_AT_0, 3)
+    def test_eval_z_at_qpow(self, p, t):
+        assert zpoly.eval_z_at_qpow(to_rows(p), t) == dense_eval_z_at_qpow(p, t)
+
+    @given(QORDERS.flatmap(dense_polys))
+    @example(ZERO_AT_0)
+    @example(ONE_AT_0)
+    def test_str(self, p):
+        assert str(to_rows(p)) == str(p)
